@@ -640,33 +640,24 @@ class QueryEngine:
         optimize: str,
         obs: NullRecorder = NULL_RECORDER,
     ) -> CompiledPlan:
-        if optimize == "cost":
-            _, plan, report = self.wsmed._compile(
-                sql_text,
-                mode=mode,
-                fanouts=fanouts,
-                adaptation=adaptation,
-                name=name,
-                obs=obs,
-                optimize="cost",
-                observed=self.observed_stats() or None,
-            )
-            return CompiledPlan(
-                plan=plan,
-                dependencies=plan_dependencies(plan),
-                optimize="cost",
-                assumptions=dict(report.assumptions) if report else None,
-                report=report,
-            )
-        plan = self.wsmed.plan(
+        _, plan, report = self.wsmed._compile(
             sql_text,
             mode=mode,
             fanouts=fanouts,
             adaptation=adaptation,
             name=name,
             obs=obs,
+            optimize=optimize,
+            observed=(self.observed_stats() or None) if optimize == "cost" else None,
         )
-        return CompiledPlan(plan=plan, dependencies=plan_dependencies(plan))
+        # ``report`` is None for heuristic compilations.
+        return CompiledPlan(
+            plan=plan,
+            dependencies=plan_dependencies(plan),
+            optimize=optimize,
+            assumptions=dict(report.assumptions) if report else None,
+            report=report,
+        )
 
     # -- live-stats feedback ----------------------------------------------------
 

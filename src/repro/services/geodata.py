@@ -20,7 +20,7 @@ the paper's scenario and are pinned by tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.util.rng import derive_rng
 
@@ -45,6 +45,11 @@ US_STATES: list[tuple[str, str]] = [
 ]
 
 _EARTH_RADIUS_KM = 6371.0
+
+# Slack (degrees) added to the latitude band of ``places_within``.  The
+# band's bound is exact in real arithmetic; this covers float rounding in
+# ``haversine_km`` with many orders of magnitude to spare (about 0.1 m).
+_LAT_BAND_MARGIN_DEG = 1e-6
 
 _TOWN_STEMS = [
     "Springfield", "Fairview", "Riverside", "Franklin", "Greenville",
@@ -113,6 +118,8 @@ class GeoDatabase:
         self._zips_by_state: dict[str, list[str]] = {}
         self._places_by_zip: dict[str, list[Place]] = {}
         self._places_by_state: dict[str, list[Place]] = {}
+        self._places_by_name: dict[str, list[Place]] = {}
+        self._state_by_key: dict[str, State] = {}
         self.atlanta_states: list[str] = []
         self._build()
 
@@ -131,9 +138,16 @@ class GeoDatabase:
         self._place_atlantas(rng)
         self._place_usaf(rng)
 
+        # Lookup indexes.  Every list keeps ``_places`` order, so a lookup
+        # through an index returns what a scan of ``_places`` would.
         for place in self._places:
             self._places_by_zip.setdefault(place.zip_code, []).append(place)
             self._places_by_state.setdefault(place.state, []).append(place)
+            self._places_by_name.setdefault(place.name, []).append(place)
+        # First state whose name or abbreviation matches, as a scan would.
+        for state in self._states:
+            self._state_by_key.setdefault(state.name, state)
+            self._state_by_key.setdefault(state.abbreviation, state)
 
     def _allocate_zipcodes(self) -> None:
         per_state = self.config.zipcodes_per_state
@@ -264,10 +278,10 @@ class GeoDatabase:
         return list(self._states)
 
     def state_named(self, name: str) -> State:
-        for state in self._states:
-            if state.name == name or state.abbreviation == name:
-                return state
-        raise KeyError(f"unknown state {name!r}")
+        state = self._state_by_key.get(name)
+        if state is None:
+            raise KeyError(f"unknown state {name!r}")
+        return state
 
     def places_in_state(self, state: str) -> list[Place]:
         return list(self._places_by_state.get(state, []))
@@ -278,17 +292,31 @@ class GeoDatabase:
         """Places of ``place_type`` within ``distance_km`` of any place in
         ``state`` whose name starts with ``place_prefix``.
 
-        Returns (place, distance-to-nearest-anchor) pairs, nearest first,
-        mirroring ``GetPlacesWithin``.
+        Returns ``(place, distance)`` pairs sorted by distance, then name,
+        mirroring ``GetPlacesWithin``.  The distance is to the *first*
+        anchor in dataset order that lies within range, not to the nearest
+        one: "Atlanta Heights 3" reports its distance to "Atlanta", not 0
+        to itself.
+
+        Great-circle distance is at least ``R * |dlat|`` (in radians), so a
+        candidate whose latitude lies outside the anchors' latitude span
+        widened by ``distance_km / R`` can never be in range and is not
+        measured.  The remaining candidates and anchors are visited in
+        dataset order, so the result is the full scan's, bit for bit.
         """
         in_state = self._places_by_state.get(state, [])
         anchors = [
             p for p in in_state
             if p.name.startswith(place_prefix) and p.place_type == "City"
         ]
+        if not anchors:
+            return []
+        band = math.degrees(distance_km / _EARTH_RADIUS_KM) + _LAT_BAND_MARGIN_DEG
+        low = min(anchor.lat for anchor in anchors) - band
+        high = max(anchor.lat for anchor in anchors) + band
         results: dict[tuple[str, str], tuple[Place, float]] = {}
         for candidate in in_state:
-            if candidate.place_type != place_type:
+            if candidate.place_type != place_type or not low <= candidate.lat <= high:
                 continue
             for anchor in anchors:
                 distance = haversine_km(
@@ -318,8 +346,8 @@ class GeoDatabase:
         state_part = state_part.strip()
         matches = [
             place
-            for place in self._places
-            if place.name == name and (not state_part or place.state == state_part)
+            for place in self._places_by_name.get(name, ())
+            if not state_part or place.state == state_part
         ]
         matches.sort(key=lambda place: (place.state, place.place_type))
         return matches[: max_items if max_items > 0 else len(matches)]

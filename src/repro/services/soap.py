@@ -7,6 +7,10 @@ functional DBMS value model (:class:`Record` / :class:`Sequence`) — the
 structures the paper's generated OWFs navigate in Fig 2.  Round-tripping
 through real XML text keeps the substrate honest: a schema mismatch fails
 the same way a real doc/literal endpoint would.
+
+Encoding writes the XML text directly rather than building an ElementTree;
+its output is byte for byte what ``ET.tostring`` writes for that tree.
+Decoding always parses the text with ``ET.fromstring``.
 """
 
 from __future__ import annotations
@@ -40,22 +44,44 @@ def _text_to_atom(atom: AtomicType, text: str) -> Any:
     return text
 
 
-def _build(schema: XsdElement, data: Any, parent: ET.Element) -> None:
-    """Append one instance of ``schema`` holding ``data`` under ``parent``."""
-    node = ET.SubElement(parent, schema.name)
-    if schema.is_atomic:
-        node.text = _atom_to_text(schema.atom, data)
+def _escape(text: str) -> str:
+    """Escape character data exactly as ElementTree's serializer does."""
+    if "&" in text:
+        text = text.replace("&", "&amp;")
+    if "<" in text:
+        text = text.replace("<", "&lt;")
+    if ">" in text:
+        text = text.replace(">", "&gt;")
+    return text
+
+
+def _write(schema: XsdElement, data: Any, out: list[str]) -> None:
+    """Append the XML text of one instance of ``schema`` holding ``data``.
+
+    The text is byte for byte what ``ET.tostring`` writes for the same
+    tree: children in schema order, ``&<>`` escaped in character data and
+    ``<name />`` for an element with neither text nor children.  Payload
+    checks run in the same order as building that tree would, so a bad
+    payload raises the same :class:`WsdlError`.
+    """
+    name = schema.name
+    atom = schema.atom
+    if atom is not None:
+        text = _atom_to_text(atom, data)
+        out.append(f"<{name}>{_escape(text)}</{name}>" if text else f"<{name} />")
         return
     if not isinstance(data, dict):
         raise WsdlError(
-            f"element {schema.name!r} is complex; expected a dict payload, "
+            f"element {name!r} is complex; expected a dict payload, "
             f"got {type(data).__name__}"
         )
-    unknown = set(data) - {child.name for child in schema.complex.children}
+    unknown = set(data) - schema.child_names
     if unknown:
         raise WsdlError(
-            f"payload for {schema.name!r} has keys not in schema: {sorted(unknown)}"
+            f"payload for {name!r} has keys not in schema: {sorted(unknown)}"
         )
+    opened = len(out)
+    out.append(f"<{name}>")
     for child in schema.complex.children:
         if child.repeated:
             instances = data.get(child.name, [])
@@ -64,20 +90,30 @@ def _build(schema: XsdElement, data: Any, parent: ET.Element) -> None:
                     f"repeated element {child.name!r} expects a list payload"
                 )
             for instance in instances:
-                _build(child, instance, node)
+                _write(child, instance, out)
         else:
             if child.name not in data:
                 raise WsdlError(
-                    f"payload for {schema.name!r} is missing {child.name!r}"
+                    f"payload for {name!r} is missing {child.name!r}"
                 )
-            _build(child, data[child.name], node)
+            _write(child, data[child.name], out)
+    if len(out) == opened + 1:
+        out[opened] = f"<{name} />"
+    else:
+        out.append(f"</{name}>")
+
+
+def _encode(schema: XsdElement, data: Any) -> bytes:
+    out: list[str] = []
+    _write(schema, data, out)
+    # ElementTree encodes with "xmlcharrefreplace"; so must we, for the
+    # code points UTF-8 cannot carry (lone surrogates).
+    return "".join(out).encode("utf-8", "xmlcharrefreplace")
 
 
 def encode_response(operation: WsdlOperation, payload: Any) -> bytes:
     """Encode a provider payload as response XML per the output schema."""
-    holder = ET.Element("soap-body")
-    _build(operation.output_element, payload, holder)
-    return ET.tostring(holder[0], encoding="utf-8")
+    return _encode(operation.output_element, payload)
 
 
 def encode_request(operation: WsdlOperation, arguments: list[Any]) -> bytes:
@@ -89,9 +125,7 @@ def encode_request(operation: WsdlOperation, arguments: list[Any]) -> bytes:
             f"got {len(arguments)}"
         )
     payload = {name: value for (name, _), value in zip(parameters, arguments)}
-    holder = ET.Element("soap-body")
-    _build(operation.input_element, payload, holder)
-    return ET.tostring(holder[0], encoding="utf-8")
+    return _encode(operation.input_element, payload)
 
 
 def decode_request(operation: WsdlOperation, text: bytes) -> list[Any]:
@@ -101,8 +135,9 @@ def decode_request(operation: WsdlOperation, text: bytes) -> list[Any]:
 
 
 def _element_to_value(node: ET.Element, schema: XsdElement) -> Any:
-    if schema.is_atomic:
-        return _text_to_atom(schema.atom, node.text or "")
+    atom = schema.atom
+    if atom is not None:
+        return _text_to_atom(atom, node.text or "")
     attrs: dict[str, Any] = {}
     instances: dict[str, list[ET.Element]] = {}
     for child_node in node:
@@ -111,7 +146,7 @@ def _element_to_value(node: ET.Element, schema: XsdElement) -> Any:
         nodes = instances.get(child.name, [])
         if child.repeated:
             attrs[child.name] = Sequence(
-                _element_to_value(n, child) for n in nodes
+                [_element_to_value(n, child) for n in nodes]
             )
         elif nodes:
             attrs[child.name] = _element_to_value(nodes[0], child)
@@ -144,21 +179,13 @@ def count_rows(schema: XsdElement, payload: Any) -> int:
 
     The broker uses this for the per-row component of the service time.
     """
-    if schema.is_atomic or schema.complex is None or not _has_repeated(schema):
+    if not schema.has_repeated:
         return 1
     total = 0
     for child in schema.complex.children:
         if child.repeated:
             instances = payload.get(child.name, []) if isinstance(payload, dict) else []
             total += sum(count_rows(child, instance) for instance in instances)
-        elif not child.is_atomic and _has_repeated(child) and isinstance(payload, dict):
+        elif child.has_repeated and isinstance(payload, dict):
             total += count_rows(child, payload.get(child.name, {}))
     return total
-
-
-def _has_repeated(schema: XsdElement) -> bool:
-    if schema.is_atomic or schema.complex is None:
-        return False
-    return any(
-        child.repeated or _has_repeated(child) for child in schema.complex.children
-    )

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.fdb.types import AtomicType, BOOLEAN, CHARSTRING, INTEGER, REAL
 from repro.util.errors import WsdlError
@@ -46,6 +47,27 @@ class XsdElement:
     @property
     def is_atomic(self) -> bool:
         return self.atom is not None
+
+    # Derived facts the SOAP codec asks for on every call, computed once per
+    # element.  ``cached_property`` stores into ``__dict__`` directly, which
+    # a frozen dataclass allows; the cached values pickle with the element.
+
+    @cached_property
+    def child_names(self) -> frozenset[str]:
+        """Names of a complex element's children (empty when atomic)."""
+        if self.complex is None:
+            return frozenset()
+        return frozenset(child.name for child in self.complex.children)
+
+    @cached_property
+    def has_repeated(self) -> bool:
+        """Whether a repeated element occurs anywhere below this one."""
+        if self.complex is None:
+            return False
+        return any(
+            child.repeated or child.has_repeated
+            for child in self.complex.children
+        )
 
     def __post_init__(self) -> None:
         if (self.atom is None) == (self.complex is None):

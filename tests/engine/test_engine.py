@@ -1,5 +1,6 @@
 """Resident-engine behaviour: cold equivalence, warm reuse, invalidation."""
 
+import warnings
 from collections import Counter
 
 import pytest
@@ -9,6 +10,7 @@ from repro import (
     AsyncioKernel,
     CacheConfig,
     QueryEngine,
+    QueryOptions,
     SimKernel,
     WSMED,
 )
@@ -267,3 +269,22 @@ def test_asyncio_resident_kernel_parity() -> None:
     assert sorted(warm.rows) == sorted(expected.rows)
     assert warm.trace.count("spawn") == 0
     assert engine.stats().warm_leases == 1
+
+
+# -- no deprecated surfaces on the engine's own paths ---------------------------------
+
+
+@pytest.mark.parametrize("optimize", ["heuristic", "cost"])
+def test_engine_compiles_without_deprecation_warnings(optimize) -> None:
+    # The engine's compile step must not route through the deprecated
+    # keyword-argument path of WSMED.plan.
+    engine = fresh_engine()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            options = QueryOptions(mode="parallel", fanouts=[5, 4], optimize=optimize)
+            cold = engine.sql(QUERY1_SQL, options=options)
+            warm = engine.sql(QUERY1_SQL, options=options)
+    finally:
+        engine.close()
+    assert len(cold.rows) == len(warm.rows) == 360

@@ -77,6 +77,30 @@ def test_query1_result_row_count_is_360(geo) -> None:
     assert rows == 360
 
 
+def test_places_within_reports_distance_to_first_anchor_in_range(geo) -> None:
+    # With prefix "Atlanta" every "Atlanta Heights k" is an anchor too, yet
+    # each member reports its distance to the first in-range anchor in
+    # dataset order (the Atlanta city), not to the nearest anchor (itself).
+    # The Query1 fingerprints pin these distances.
+    for state in geo.atlanta_states:
+        atlanta = next(
+            place
+            for place in geo.places_in_state(state)
+            if place.name == "Atlanta" and place.place_type == "City"
+        )
+        cluster = dict(
+            (place.name, distance)
+            for place, distance in geo.places_within("Atlanta", state, 15.0, "City")
+        )
+        for place in geo.places_in_state(state):
+            if place.name in cluster and place.place_type == "City":
+                assert cluster[place.name] == haversine_km(
+                    atlanta.lat, atlanta.lon, place.lat, place.lon
+                )
+        assert cluster["Atlanta"] == 0.0
+        assert cluster["Atlanta Heights 3"] > 0.0
+
+
 def test_non_atlanta_state_has_empty_cluster(geo) -> None:
     non_atlanta = next(
         abbr for _, abbr in US_STATES if abbr not in geo.atlanta_states
