@@ -8,7 +8,7 @@ This bench replays a drop-enabled run and prints the decision timeline
 reconstructed from the execution trace.
 """
 
-from repro import AdaptationParams
+from repro import AdaptationParams, QueryOptions
 
 from benchmarks.harness import QUERY1_SQL, wsmed
 
@@ -16,10 +16,9 @@ TRACE_KINDS = ("init_stage", "add_stage", "drop_stage", "adapt_stop")
 
 
 def _run():
+    adaptation = AdaptationParams(p=1, drop_stage=True, max_fanout=10)
     result = wsmed().sql(
-        QUERY1_SQL,
-        mode="adaptive",
-        adaptation=AdaptationParams(p=1, drop_stage=True, max_fanout=10),
+        QUERY1_SQL, options=QueryOptions(mode="adaptive", adaptation=adaptation)
     )
     events = [e for e in result.trace if e.kind in TRACE_KINDS]
     return result, events

@@ -14,15 +14,15 @@ client side is the bottleneck) with elevated messaging costs, and sweeps
 * ``batch_adaptive`` lands within ~10% of the best fixed batch size
   without being told the right size.
 
-Results are also written to ``benchmarks/results/BENCH_batching.json``
-via :func:`benchmarks.report.save_bench_json`.
+Results are also written to ``BENCH_batching.json`` via
+:func:`benchmarks.report.save_bench_json`.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
 
-from repro import ProcessCosts, WSMED
+from repro import ProcessCosts, QueryOptions, WSMED
 from repro.fdb.functions import helping_function
 from repro.fdb.types import CHARSTRING, TupleType
 
@@ -69,9 +69,8 @@ def _run(system: WSMED, fanout: int, batch) -> dict:
         costs = replace(COSTS, batch_adaptive=True)
     else:
         costs = replace(COSTS, batch_size=batch)
-    result = system.sql(
-        SQL, mode="parallel", fanouts=[fanout], process_costs=costs
-    )
+    options = QueryOptions(mode="parallel", fanouts=[fanout], process_costs=costs)
+    result = system.sql(SQL, options=options)
     stats = result.message_stats
     return {
         "batch": batch,

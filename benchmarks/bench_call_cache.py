@@ -16,7 +16,7 @@ claims:
 
 from __future__ import annotations
 
-from repro import CacheConfig, ProcessCosts, WSMED
+from repro import CacheConfig, ProcessCosts, QueryOptions, WSMED
 from repro.fdb.functions import helping_function
 from repro.fdb.types import CHARSTRING, TupleType
 
@@ -65,15 +65,14 @@ def _sweep():
     ff = _system("first_finished")
     affinity = _system("hash_affinity")
     cache = CacheConfig(enabled=True)
+    parallel = QueryOptions(mode="parallel", fanouts=FANOUTS)
     return {
         "central off": ff.sql(SKEW_SQL),
-        "central on": ff.sql(SKEW_SQL, cache=cache),
-        "parallel ff off": ff.sql(SKEW_SQL, mode="parallel", fanouts=FANOUTS),
-        "parallel ff on": ff.sql(
-            SKEW_SQL, mode="parallel", fanouts=FANOUTS, cache=cache
-        ),
+        "central on": ff.sql(SKEW_SQL, options=QueryOptions(cache=cache)),
+        "parallel ff off": ff.sql(SKEW_SQL, options=parallel),
+        "parallel ff on": ff.sql(SKEW_SQL, options=parallel.replace(cache=cache)),
         "parallel affinity on": affinity.sql(
-            SKEW_SQL, mode="parallel", fanouts=FANOUTS, cache=cache
+            SKEW_SQL, options=parallel.replace(cache=cache)
         ),
     }
 

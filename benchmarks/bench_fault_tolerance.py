@@ -13,8 +13,7 @@ what it buys on Query1 (two dependent-join levels, fanouts 5x4):
 * with injected child crashes, dead children are respawned and the result
   is still complete.
 
-Results are also written to
-``benchmarks/results/BENCH_fault_tolerance.json`` via
+Results are also written to ``BENCH_fault_tolerance.json`` via
 :func:`benchmarks.report.save_bench_json`.
 """
 
@@ -22,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from repro import FaultInjection, ProcessCosts, WSMED
+from repro import FaultInjection, ProcessCosts, QueryOptions, WSMED
 
 SQL = """
 Select gl.placename, gl.state
@@ -51,14 +50,10 @@ def _system() -> WSMED:
 
 def _run(system: WSMED, label: str, *, on_error=None, faults=None) -> dict:
     costs = replace(COSTS, max_redeliveries=MAX_REDELIVERIES)
-    result = system.sql(
-        SQL,
-        mode="parallel",
-        fanouts=FANOUTS,
-        process_costs=costs,
-        on_error=on_error,
-        faults=faults,
+    options = QueryOptions(
+        mode="parallel", fanouts=FANOUTS, process_costs=costs, on_error=on_error, faults=faults
     )
+    result = system.sql(SQL, options=options)
     stats = result.fault_stats
     return {
         "label": label,

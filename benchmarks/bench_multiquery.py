@@ -33,11 +33,12 @@ from repro import (
     CacheConfig,
     ProcessCosts,
     QueryEngine,
+    QueryOptions,
     ShareConfig,
     WSMED,
 )
 
-QUERY_KWARGS = dict(mode="parallel", fanouts=[5, 4])
+PARALLEL = QueryOptions(mode="parallel", fanouts=[5, 4])
 COSTS = ProcessCosts(dispatch="hash_affinity", prefetch=16).scaled(0.01)
 CLIENT_COUNTS = (1, 4, 8, 16)
 SMOKE_CLIENT_COUNTS = (1, 8)
@@ -99,7 +100,7 @@ def measure(workload: str, clients: int, sharing: bool) -> dict:
     )
     batch = workload_batch(workload, clients)
     started = engine.kernel.now()
-    results = engine.sql_many(batch, **QUERY_KWARGS)
+    results = engine.sql_many(batch, options=PARALLEL)
     makespan = engine.kernel.now() - started
     broker_calls = engine.broker.total_calls()
     stats = engine.stats()

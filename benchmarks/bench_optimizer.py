@@ -38,8 +38,10 @@ from benchmarks.optimizer_world import (
     expected_adversarial_rows,
     expected_rewrite_rows,
 )
-from repro import QueryEngine
+from repro import QueryEngine, QueryOptions
 from repro.util.errors import BindingError
+
+COST = QueryOptions(optimize="cost")
 
 DRIFT_RUNS = 4
 SMOKE_DRIFT_RUNS = 2
@@ -52,8 +54,8 @@ def _row_bag(result) -> list[tuple]:
 def measure_adversarial() -> dict:
     """Heuristic (query-order) vs cost-chosen ordering, same row bag."""
     wsmed = build_optimizer_world()
-    heuristic = wsmed.sql(ADVERSARIAL_SQL, mode="central")
-    cost = wsmed.sql(ADVERSARIAL_SQL, mode="central", optimize="cost")
+    heuristic = wsmed.sql(ADVERSARIAL_SQL)
+    cost = wsmed.sql(ADVERSARIAL_SQL, options=COST)
     return {
         "heuristic_model_s": heuristic.elapsed,
         "heuristic_calls": heuristic.total_calls,
@@ -70,12 +72,12 @@ def measure_rewrite() -> dict:
     """A formerly-BindingError query executes via the access path."""
     wsmed = build_optimizer_world()
     try:
-        wsmed.sql(REWRITE_SQL, mode="central")
+        wsmed.sql(REWRITE_SQL)
         heuristic_rejects = False
     except BindingError:
         heuristic_rejects = True
-    rewritten = wsmed.sql(REWRITE_SQL, mode="central", optimize="cost")
-    direct = wsmed.sql(REWRITE_DIRECT_SQL, mode="central")
+    rewritten = wsmed.sql(REWRITE_SQL, options=COST)
+    direct = wsmed.sql(REWRITE_DIRECT_SQL)
     return {
         "heuristic_rejects": heuristic_rejects,
         "rewritten_model_s": rewritten.elapsed,
@@ -92,7 +94,7 @@ def measure_drift(runs: int) -> dict:
     engine = QueryEngine(build_optimizer_world(misdeclared=True))
     try:
         results = [
-            engine.sql(ADVERSARIAL_SQL, mode="central", optimize="cost")
+            engine.sql(ADVERSARIAL_SQL, options=COST)
             for _ in range(runs)
         ]
         stats = engine.stats()

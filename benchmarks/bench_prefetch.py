@@ -8,7 +8,7 @@ message costs are small relative to the service times, so depth 1 is
 (mildly) best — consistent with the paper's protocol choice.
 """
 
-from repro import ProcessCosts, WSMED
+from repro import ProcessCosts, QueryOptions, WSMED
 
 from benchmarks.harness import PAPER, QUERY1_SQL
 
@@ -17,12 +17,11 @@ DEPTHS = (1, 2, 4, 8)
 
 def _sweep():
     times = {}
+    options = QueryOptions(mode="parallel", fanouts=list(PAPER["query1_best_fanouts"]))
     for depth in DEPTHS:
         system = WSMED(profile="paper", process_costs=ProcessCosts(prefetch=depth))
         system.import_all()
-        result = system.sql(
-            QUERY1_SQL, mode="parallel", fanouts=list(PAPER["query1_best_fanouts"])
-        )
+        result = system.sql(QUERY1_SQL, options=options)
         times[depth] = (result.elapsed, len(result))
     return times
 

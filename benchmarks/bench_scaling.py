@@ -9,11 +9,13 @@ this: the manual vector {5,4} was tuned for one workload, while the
 adaptive operator re-derives a tree per run.
 """
 
-from repro import WSMED, AdaptationParams, GeoConfig, build_registry
+from repro import WSMED, AdaptationParams, GeoConfig, QueryOptions, build_registry
 
 from benchmarks.harness import QUERY1_SQL
 
 ATLANTA_COUNTS = (8, 16, 26, 40)
+MANUAL = QueryOptions(mode="parallel", fanouts=[5, 4])
+ADAPTIVE = QueryOptions(mode="adaptive", adaptation=AdaptationParams(p=2))
 
 
 def _world(atlanta_states: int) -> WSMED:
@@ -30,11 +32,9 @@ def _sweep():
     rows = []
     for count in ATLANTA_COUNTS:
         system = _world(count)
-        central = system.sql(QUERY1_SQL, mode="central")
-        manual = system.sql(QUERY1_SQL, mode="parallel", fanouts=[5, 4])
-        adaptive = system.sql(
-            QUERY1_SQL, mode="adaptive", adaptation=AdaptationParams(p=2)
-        )
+        central = system.sql(QUERY1_SQL)
+        manual = system.sql(QUERY1_SQL, options=MANUAL)
+        adaptive = system.sql(QUERY1_SQL, options=ADAPTIVE)
         rows.append(
             {
                 "atlanta_states": count,

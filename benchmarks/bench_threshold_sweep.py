@@ -10,7 +10,7 @@ Expected shape: a small threshold keeps adding children aggressively
 (undersized trees); the paper's 25 % sits in the efficient middle.
 """
 
-from repro import AdaptationParams
+from repro import AdaptationParams, QueryOptions
 
 from benchmarks.harness import PAPER, QUERY1_SQL, run_parallel, wsmed
 
@@ -20,10 +20,9 @@ THRESHOLDS = (0.05, 0.15, 0.25, 0.40, 0.60)
 def _sweep():
     rows = []
     for threshold in THRESHOLDS:
+        adaptation = AdaptationParams(p=2, threshold=threshold, drop_stage=False)
         result = wsmed().sql(
-            QUERY1_SQL,
-            mode="adaptive",
-            adaptation=AdaptationParams(p=2, threshold=threshold, drop_stage=False),
+            QUERY1_SQL, options=QueryOptions(mode="adaptive", adaptation=adaptation)
         )
         rows.append(
             {

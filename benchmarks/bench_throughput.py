@@ -37,9 +37,9 @@ from __future__ import annotations
 import argparse
 import time
 
-from repro import QUERY1_SQL, CacheConfig, ProcessCosts, QueryEngine, WSMED
+from repro import QUERY1_SQL, CacheConfig, ProcessCosts, QueryEngine, QueryOptions, WSMED
 
-QUERY_KWARGS = dict(mode="parallel", fanouts=[5, 4])
+PARALLEL = QueryOptions(mode="parallel", fanouts=[5, 4])
 COSTS = ProcessCosts(dispatch="hash_affinity", prefetch=16).scaled(0.01)
 CLIENT_COUNTS = (1, 4, 16)
 COLD_WORKLOADS = ("overlapping", "partial")
@@ -59,14 +59,14 @@ def measure_latency() -> dict:
     """Cold first query vs fully warm repeat on one engine."""
     engine = _engine()
     wall_start = time.perf_counter()
-    cold = engine.sql(QUERY1_SQL, **QUERY_KWARGS)
+    cold = engine.sql(QUERY1_SQL, options=PARALLEL)
     cold_wall = time.perf_counter() - wall_start
 
     # One warm-up round populates the child caches; the next repeat is
     # the steady state a resident engine serves.
-    engine.sql(QUERY1_SQL, **QUERY_KWARGS)
+    engine.sql(QUERY1_SQL, options=PARALLEL)
     wall_start = time.perf_counter()
-    warm = engine.sql(QUERY1_SQL, **QUERY_KWARGS)
+    warm = engine.sql(QUERY1_SQL, options=PARALLEL)
     warm_wall = time.perf_counter() - wall_start
     stats = engine.stats()
     engine.close()
@@ -96,11 +96,11 @@ def measure_throughput(clients: int) -> dict:
     engine = _engine(max_concurrency=max(CLIENT_COUNTS))
     batch = [QUERY1_SQL] * clients
     for _ in range(WARM_ROUNDS):
-        engine.sql_many(batch, **QUERY_KWARGS)
+        engine.sql_many(batch, options=PARALLEL)
     kernel = engine.kernel
     started = kernel.now()
     wall_start = time.perf_counter()
-    results = engine.sql_many(batch, **QUERY_KWARGS)
+    results = engine.sql_many(batch, options=PARALLEL)
     wall = time.perf_counter() - wall_start
     makespan = kernel.now() - started
     stats = engine.stats()
@@ -132,7 +132,7 @@ def measure_cold_workload(workload: str, clients: int) -> dict:
     batch = workload_batch(workload, clients)
     kernel = engine.kernel
     started = kernel.now()
-    results = engine.sql_many(batch, **QUERY_KWARGS)
+    results = engine.sql_many(batch, options=PARALLEL)
     makespan = kernel.now() - started
     broker_calls = engine.broker.total_calls()
     engine.close()

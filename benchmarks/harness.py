@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from repro import WSMED, AdaptationParams, QueryResult
+from repro import WSMED, AdaptationParams, QueryOptions, QueryResult
 from repro import QUERY1_SQL, QUERY2_SQL  # noqa: F401  (re-exported for benches)
 
 # Reference values from the paper (Sec. V).
@@ -43,13 +43,14 @@ def wsmed(profile: str = "paper") -> WSMED:
 
 
 def run_central(sql: str, profile: str = "paper") -> QueryResult:
-    return wsmed(profile).sql(sql, mode="central")
+    return wsmed(profile).sql(sql)
 
 
 def run_parallel(
     sql: str, fanouts: tuple[int, ...], profile: str = "paper"
 ) -> QueryResult:
-    return wsmed(profile).sql(sql, mode="parallel", fanouts=list(fanouts))
+    options = QueryOptions(mode="parallel", fanouts=list(fanouts))
+    return wsmed(profile).sql(sql, options=options)
 
 
 def run_adaptive(
@@ -57,8 +58,9 @@ def run_adaptive(
 ) -> QueryResult:
     return wsmed(profile).sql(
         sql,
-        mode="adaptive",
-        adaptation=AdaptationParams(p=p, drop_stage=drop_stage),
+        options=QueryOptions(
+            mode="adaptive", adaptation=AdaptationParams(p=p, drop_stage=drop_stage)
+        ),
     )
 
 

@@ -15,7 +15,7 @@ The query below runs two independent chains —
 — and joins them on the state, so states are annotated with both facts.
 """
 
-from repro import WSMED
+from repro import QueryOptions, WSMED
 
 MIXED_SQL = """
 SELECT gs1.State, gp.ToCity, gi.GetInfoByStateResult
@@ -33,15 +33,18 @@ def main() -> None:
     wsmed.import_all()
 
     print("=== bushy plan (join of two independent chains) ===")
-    explanation = wsmed.explain(MIXED_SQL, mode="adaptive", name="Mixed")
+    mixed = QueryOptions(mode="central", name="Mixed")
+    explanation = wsmed.explain(MIXED_SQL, options=mixed.replace(mode="adaptive"))
     plan_section = explanation.split("-- plan --")[1].split("-- estimate --")[0]
     print(plan_section)
 
-    central = wsmed.sql(MIXED_SQL, mode="central", name="Mixed")
+    central = wsmed.sql(MIXED_SQL, options=mixed)
     # One fanout per parallelizable section, in plan order: chain A ships
     # GetInfoByState's plan function, chain B ships GetPlacesWithin's.
-    parallel = wsmed.sql(MIXED_SQL, mode="parallel", fanouts=[3, 3], name="Mixed")
-    adaptive = wsmed.sql(MIXED_SQL, mode="adaptive", name="Mixed")
+    parallel = wsmed.sql(
+        MIXED_SQL, options=mixed.replace(mode="parallel", fanouts=[3, 3])
+    )
+    adaptive = wsmed.sql(MIXED_SQL, options=mixed.replace(mode="adaptive"))
 
     print(f"rows: {len(central)} (one per Atlanta-area city, annotated with "
           f"the state's zip string)")

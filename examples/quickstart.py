@@ -8,7 +8,7 @@ Times are model seconds on the simulated kernel — directly comparable to
 the paper's wall-clock measurements while finishing instantly.
 """
 
-from repro import QUERY1_SQL, WSMED
+from repro import QUERY1_SQL, QueryOptions, WSMED
 
 
 def main() -> None:
@@ -30,9 +30,13 @@ def main() -> None:
 
     # The paper's Query1 (Fig 1): places within 15 km of each city named
     # 'Atlanta', in three execution modes.
-    central = wsmed.sql(QUERY1_SQL, mode="central", name="Query1")
-    parallel = wsmed.sql(QUERY1_SQL, mode="parallel", fanouts=[5, 4], name="Query1")
-    adaptive = wsmed.sql(QUERY1_SQL, mode="adaptive", name="Query1")
+    # Every execution choice travels in one QueryOptions object.
+    query1 = QueryOptions(mode="central", name="Query1")
+    central = wsmed.sql(QUERY1_SQL, options=query1)
+    parallel = wsmed.sql(
+        QUERY1_SQL, options=query1.replace(mode="parallel", fanouts=[5, 4])
+    )
+    adaptive = wsmed.sql(QUERY1_SQL, options=query1.replace(mode="adaptive"))
 
     print(f"Query1 returns {len(central)} rows via {central.total_calls} web service calls")
     print(f"  central plan        : {central.elapsed:8.1f} s")

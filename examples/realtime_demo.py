@@ -10,7 +10,7 @@ does not matter.
 
 import time
 
-from repro import QUERY1_SQL, AsyncioKernel, WSMED
+from repro import QUERY1_SQL, AsyncioKernel, QueryOptions, WSMED
 
 # One model second runs as five wall milliseconds: Query1's ~245 model-
 # second central plan takes ~1.5 wall seconds; the parallel plan far less.
@@ -22,14 +22,16 @@ def main() -> None:
     wsmed.import_all()
 
     runs = {}
-    for label, kwargs in (
-        ("central", {"mode": "central"}),
-        ("parallel {5,4}", {"mode": "parallel", "fanouts": [5, 4]}),
-        ("adaptive", {"mode": "adaptive"}),
+    query1 = QueryOptions(mode="central", name="Query1")
+    for label, options in (
+        ("central", query1),
+        ("parallel {5,4}", query1.replace(mode="parallel", fanouts=[5, 4])),
+        ("adaptive", query1.replace(mode="adaptive")),
     ):
         started = time.monotonic()
         result = wsmed.sql(
-            QUERY1_SQL, kernel=AsyncioKernel(time_scale=SCALE), name="Query1", **kwargs
+            QUERY1_SQL,
+            options=options.replace(kernel=AsyncioKernel(time_scale=SCALE)),
         )
         wall = time.monotonic() - started
         runs[label] = (result, wall)

@@ -35,7 +35,10 @@ run_query() { # port rows-out extra-json-fields...
 import http.client, json, sys
 
 port, rows_out = int(sys.argv[1]), sys.argv[2]
-request = {"sql": None, "mode": "parallel", "fanouts": [4, 3], "name": "Query2"}
+request = {
+    "sql": None,
+    "options": {"mode": "parallel", "fanouts": [4, 3], "name": "Query2"},
+}
 for field in sys.argv[3:]:
     request.update(json.loads(field))
 from repro import QUERY2_SQL

@@ -22,8 +22,8 @@ Meta commands: ``\\views``, ``\\owf NAME``, ``\\mode``, ``\\fanouts``,
 ``\\profile``, ``\\explain SQL;``, ``\\tree``, ``\\summary``, ``\\rows N``,
 ``\\stats [SECTION]``, ``\\help``, ``\\quit``.  Statistics live under one
 ``\\stats`` command (sections: calls, tree, cache, batch, faults,
-critical_path, engine); the former ``\\cache``/``\\batch``/``\\faults``/
-``\\engine`` still work, both as report aliases and as toggles.
+critical_path, engine, share); ``\\cache``/``\\batch``/``\\faults`` are
+toggles that, with no argument, print their current setting.
 """
 
 from __future__ import annotations
@@ -214,10 +214,6 @@ class Shell:
             self._batch_command(argument)
         elif command == "faults":
             self._faults_command(argument)
-        elif command == "engine":
-            self._engine_report()
-        elif command == "share":
-            self._share_report()
         elif command == "rows":
             self.max_rows = int(argument)
             self.write(f"rows = {self.max_rows}")
@@ -245,25 +241,6 @@ class Shell:
             raise ReproError(f"unknown command \\{command}; try \\help")
         return True
 
-    def _engine_report(self) -> None:
-        if self.engine is None:
-            self.write(
-                "resident engine: off (start with --engine to keep "
-                "plans and process trees warm between queries)"
-            )
-        else:
-            self.write(self.engine.stats().report())
-
-    def _share_report(self) -> None:
-        """``\\stats share``: the engine's multi-query sharing counters."""
-        if self.engine is None:
-            self.write(
-                "sharing: off (start with --engine --share to dedup and "
-                "batch web-service calls across concurrent queries)"
-            )
-        else:
-            self.write(self.engine.stats().share_report())
-
     def _stats_command(self, argument: str) -> None:
         """``\\stats [SECTION]``: the unified statistics report.
 
@@ -273,14 +250,16 @@ class Shell:
         the last execution.
         """
         section = argument.strip().lower()
-        if section == "engine":
-            self._engine_report()
-            return
-        if section == "share":
-            self._share_report()
+        if section in _ENGINE_OFF:
+            if self.engine is None:
+                self.write(_ENGINE_OFF[section])
+            elif section == "engine":
+                self.write(self.engine.stats().report())
+            else:
+                self.write(self.engine.stats().share_report())
             return
         if section and section not in REPORT_SECTIONS:
-            known = ", ".join(REPORT_SECTIONS + ("engine", "share"))
+            known = ", ".join(REPORT_SECTIONS + tuple(_ENGINE_OFF))
             raise ReproError(
                 f"unknown stats section {section!r}; known sections: {known}"
             )
@@ -296,7 +275,7 @@ class Shell:
         )
 
     def _cache_command(self, argument: str) -> None:
-        """``\\cache [on [TTL] | off]``: toggle memoization / show counters."""
+        """``\\cache [on [TTL] | off]``: toggle memoization / show the setting."""
         if argument:
             word, _, ttl_text = argument.partition(" ")
             word = word.strip().lower()
@@ -311,11 +290,7 @@ class Shell:
             else:
                 raise ReproError(r"usage: \cache [on [TTL] | off]")
             return
-        if self.last_result is not None and self.last_result.cache_stats is not None:
-            self.write(self.last_result.report(sections="cache"))
-        else:
-            state = "on" if self.cache_config else "off"
-            self.write(f"call cache: {state} (no cached execution yet)")
+        self.write(f"call cache: {'on' if self.cache_config else 'off'}")
 
     def _batch_command(self, argument: str) -> None:
         """``\\batch [N | adaptive | linger T | off]``: micro-batching."""
@@ -346,12 +321,7 @@ class Shell:
                     ) from None
                 self.write(f"batch size = {self.batch['batch_size']}")
             return
-        if self.last_result is not None:
-            self.write(self.last_result.report(sections="batch"))
-        elif self.batch:
-            self.write(f"batching = {self.batch} (no execution yet)")
-        else:
-            self.write("batching = off (no execution yet)")
+        self.write(f"batching = {self.batch or 'off'}")
 
     def _faults_command(self, argument: str) -> None:
         """``\\faults [fail|retry|skip | inject P [C] | off]``: fault policy."""
@@ -385,19 +355,13 @@ class Shell:
                     r"usage: \faults [fail|retry|skip | inject P [C] | off]"
                 )
             return
-        if self.last_result is not None:
-            self.write(self.last_result.report(sections="faults"))
-        else:
-            policy = self.on_error or "fail"
-            injection = (
-                "none"
-                if self.fault_injection is None
-                else f"call failure {self.fault_injection.call_failure_probability:g}"
-                f", crash {self.fault_injection.crash_probability:g}"
-            )
-            self.write(
-                f"on_error = {policy}; injection = {injection} (no execution yet)"
-            )
+        injection = (
+            "none"
+            if self.fault_injection is None
+            else f"call failure {self.fault_injection.call_failure_probability:g}"
+            f", crash {self.fault_injection.crash_probability:g}"
+        )
+        self.write(f"on_error = {self.on_error or 'fail'}; injection = {injection}")
 
     # -- the loop ------------------------------------------------------------------
 
@@ -430,6 +394,15 @@ class Shell:
                     self.write(f"error: {error}")
 
 
+#: The engine-level ``\\stats`` sections, with what they print when the
+#: shell runs without a resident engine.
+_ENGINE_OFF = {
+    "engine": "resident engine: off (start with --engine to keep "
+    "plans and process trees warm between queries)",
+    "share": "sharing: off (start with --engine --share to dedup and "
+    "batch web-service calls across concurrent queries)",
+}
+
 HELP_TEXT = """\
 meta commands:
   \\views            list all generated views
@@ -441,20 +414,18 @@ meta commands:
   \\stats            all statistics sections of the last execution
   \\stats SECTION    one section: calls | tree | cache | batch | faults
                     | critical_path (traced runs) | engine | share
-  \\cache            alias for \\stats cache
+  \\cache            current call-cache setting
   \\cache on [TTL]   memoize web-service calls (optional TTL, model s)
   \\cache off        disable the call cache
-  \\batch            alias for \\stats batch
+  \\batch            current batching setting
   \\batch N          coalesce N parameter/result tuples per message
   \\batch adaptive   adapt the batch size per child at run time
   \\batch linger T   flush partial batches after T model seconds
   \\batch off        back to the per-tuple protocol
-  \\faults           alias for \\stats faults
+  \\faults           current failure policy and injection
   \\faults P         failure policy: fail | retry | skip
   \\faults inject F [C]  inject per-call failures (prob F) / crashes (C)
   \\faults off       seed behavior: policy fail, no injection
-  \\engine           alias for \\stats engine
-  \\share            alias for \\stats share
   \\rows N           max rows displayed
   \\explain SQL;     show calculus, plan and cost estimate
   \\tree             process tree of the last execution

@@ -193,10 +193,10 @@ class QueryEngine:
     ::
 
         engine = QueryEngine(wsmed)
-        first = engine.sql(QUERY1_SQL, mode="parallel", fanouts=[5, 4])
-        warm = engine.sql(QUERY1_SQL, mode="parallel", fanouts=[5, 4])
-        batch = engine.sql_many([QUERY1_SQL] * 16, mode="parallel",
-                                fanouts=[5, 4])
+        parallel = QueryOptions(mode="parallel", fanouts=[5, 4])
+        first = engine.sql(QUERY1_SQL, options=parallel)
+        warm = engine.sql(QUERY1_SQL, options=parallel)
+        batch = engine.sql_many([QUERY1_SQL] * 16, options=parallel)
         engine.close()
 
     The kernel must be *resident* (``SimKernel(resident=True)``, the
@@ -337,7 +337,6 @@ class QueryEngine:
         sql_text: str,
         *,
         options: QueryOptions | None = None,
-        **legacy,
     ) -> QueryResult:
         """Run one query to completion on the resident kernel.
 
@@ -346,8 +345,7 @@ class QueryEngine:
         ``fanouts``, ``adaptation``, ``retries``, ``cache``,
         ``process_costs``, ``on_error``, ``faults``, ``name``, ``obs``,
         ``optimize``, ``limit_pushdown``) — but not ``kernel`` /
-        ``fault_rate`` / ``observed``, which are engine-level here.  The
-        old individual keyword arguments still work but are deprecated.
+        ``fault_rate`` / ``observed``, which are engine-level here.
         Two admission fields ride along: ``tenant`` (fair-queue identity,
         default ``"default"``) and ``deadline_ms`` (model milliseconds;
         under adaptive admission a query whose deadline the measured
@@ -358,10 +356,7 @@ class QueryEngine:
         only on plan-cache misses (a warm hit skips compilation
         entirely).
         """
-        opts = resolve_options(
-            options, legacy, where="QueryEngine.sql",
-            rejected=self._REJECTED_OPTIONS,
-        )
+        opts = self._resolve(options, "QueryEngine.sql")
         return self.kernel.run(self._admitted(sql_text, opts))
 
     async def sql_async(
@@ -369,15 +364,11 @@ class QueryEngine:
         sql_text: str,
         *,
         options: QueryOptions | None = None,
-        **legacy,
     ) -> QueryResult:
         """Coroutine form of :meth:`sql` for callers already running
         *inside* the resident kernel (e.g. the HTTP front end in
         :mod:`repro.serve`, whose accept loop owns ``kernel.run``)."""
-        opts = resolve_options(
-            options, legacy, where="QueryEngine.sql_async",
-            rejected=self._REJECTED_OPTIONS,
-        )
+        opts = self._resolve(options, "QueryEngine.sql_async")
         return await self._admitted(sql_text, opts)
 
     def sql_many(
@@ -386,43 +377,43 @@ class QueryEngine:
         *,
         return_exceptions: bool = False,
         options: QueryOptions | None = None,
-        **common,
     ) -> list[QueryResult]:
         """Run several queries concurrently on the one kernel.
 
         ``queries`` is a list of SQL strings, or ``(sql, overrides)``
         pairs where ``overrides`` is a :class:`QueryOptions` replacing
-        the batch-wide ``options`` for that query, or a field-override
-        dict merged over it.  All queries are admitted through the
-        engine's admission policy (the static semaphore by default, the
-        adaptive controller when the engine was built with
-        ``admission=``) and results come back in input order.  Per-query
-        ``tenant`` / ``deadline_ms`` overrides thread through to the
-        admission queue.
+        the batch-wide ``options`` for that query (build it with
+        ``options.replace(...)`` to change a few fields).  Overrides pass
+        the same surface check as ``options``; a rejected one fails its
+        own query.  All queries are admitted through the engine's
+        admission policy (the static semaphore by default, the adaptive
+        controller when the engine was built with ``admission=``) and
+        results come back in input order.  Per-query ``tenant`` /
+        ``deadline_ms`` overrides thread through to the admission queue.
 
         With ``return_exceptions=True`` a failed query — most usefully an
         :class:`AdmissionRejected` shed by the deadline policy — comes
         back as the exception object in its slot instead of destroying
         the whole batch.
         """
-        base = resolve_options(
-            options, common, where="QueryEngine.sql_many",
-            rejected=self._REJECTED_OPTIONS,
-        )
+        base = self._resolve(options, "QueryEngine.sql_many")
         coros = []
         for query in queries:
             if isinstance(query, str):
                 coros.append(self._admitted(query, base))
             else:
                 sql_text, overrides = query
-                if isinstance(overrides, QueryOptions):
-                    per_query = overrides
-                else:
-                    per_query = base.replace(**overrides)
-                coros.append(self._admitted(sql_text, per_query))
+                coros.append(self._overridden(sql_text, overrides))
         if return_exceptions:
             coros = [self._shielded(coro) for coro in coros]
         return self.kernel.run(self.kernel.gather(*coros))
+
+    def _resolve(self, options: QueryOptions | None, where: str) -> QueryOptions:
+        return resolve_options(options, where=where, rejected=self._REJECTED_OPTIONS)
+
+    async def _overridden(self, sql_text: str, overrides: QueryOptions) -> QueryResult:
+        opts = self._resolve(overrides, "QueryEngine.sql_many override")
+        return await self._admitted(sql_text, opts)
 
     @staticmethod
     async def _shielded(coro):

@@ -4,7 +4,7 @@
 
     python -m repro serve --port 8080 --kernel process --workers 4
 
-    curl -s localhost:8080/sql -d '{"sql": "Select ...", "mode": "parallel"}'
+    curl -s localhost:8080/sql -d '{"sql": "Select ...", "options": {"mode": "parallel"}}'
 
 See :mod:`repro.serve.server` for the protocol.
 """

@@ -5,17 +5,22 @@ Protocol (all bodies JSON, all responses either JSON or NDJSON):
 ``POST /sql``
     Request body::
 
-        {"sql": "Select ...",        -- required
-         "mode": "parallel",         -- central | parallel | adaptive
-         "fanouts": [5, 4],
-         "retries": 0,
-         "on_error": "retry",
-         "cache": true,              -- or {"max_entries": N, "ttl": T}
-         "name": "Query",
-         "trace": false,             -- per-request span tracing
-         "optimize": "cost",         -- heuristic | cost (planner level)
-         "tenant": "analytics",      -- fair-queue identity (adaptive admission)
-         "deadline_ms": 60000}       -- model-ms deadline; unmeetable -> 429
+        {"sql": "Select ...",            -- required
+         "trace": false,                 -- per-request span tracing
+         "options": {                    -- per-query QueryOptions fields
+             "mode": "parallel",         -- central | parallel | adaptive
+             "fanouts": [5, 4],
+             "adaptation": {...},        -- AdaptationParams fields
+             "retries": 0,
+             "on_error": "retry",
+             "cache": true,              -- or {"max_entries": N, "ttl": T}
+             "name": "Query",
+             "optimize": "cost",         -- heuristic | cost (planner level)
+             "limit_pushdown": true,
+             "tenant": "analytics",      -- fair-queue identity (adaptive admission)
+             "deadline_ms": 60000}}      -- model-ms deadline; unmeetable -> 429
+
+    Any other top-level field is a 400.
 
     Under ``--admission adaptive`` a query shed by the deadline policy
     gets ``429 Too Many Requests`` with a ``Retry-After`` header (the
@@ -358,9 +363,8 @@ class QueryServer:
     def _line(payload: Any) -> bytes:
         return (json.dumps(payload, default=str) + "\n").encode("utf-8")
 
-    #: QueryOptions fields expressible in the POST /sql JSON schema, both
-    #: inside the nested ``"options"`` object (the versioned schema) and at
-    #: the top level (legacy aliases kept for old clients).
+    #: QueryOptions fields expressible in the nested ``"options"`` object
+    #: of the POST /sql JSON schema.
     _OPTION_FIELDS = frozenset(
         {
             "mode",
@@ -380,10 +384,8 @@ class QueryServer:
     def _parse_sql_request(self, body: bytes) -> tuple[str, bool, dict]:
         """Returns ``(sql, trace, option_kwargs)`` for :class:`QueryOptions`.
 
-        Per-query knobs live in the nested ``"options"`` object; the same
-        names are also accepted at the top level as legacy aliases.  A
-        field set in both places with different values is a 400 — silently
-        preferring either would mask a confused client.
+        The top level holds only ``sql``, ``trace`` and ``options``; every
+        per-query knob lives in the nested ``"options"`` object.
         """
         try:
             request = json.loads(body.decode("utf-8") or "{}")
@@ -393,7 +395,7 @@ class QueryServer:
             request.get("sql"), str
         ):
             raise _HttpError(400, 'request must be a JSON object with a "sql" string')
-        unknown = set(request) - self._OPTION_FIELDS - {"sql", "trace", "options"}
+        unknown = set(request) - {"sql", "trace", "options"}
         if unknown:
             raise _HttpError(400, f"unknown request fields: {sorted(unknown)}")
         options = request.get("options", {})
@@ -403,14 +405,6 @@ class QueryServer:
         if unknown:
             raise _HttpError(400, f"unknown options fields: {sorted(unknown)}")
         merged = dict(options)
-        for name in self._OPTION_FIELDS & set(request):
-            if name in merged and merged[name] != request[name]:
-                raise _HttpError(
-                    400,
-                    f"field {name!r} conflicts between the top level "
-                    'and "options"',
-                )
-            merged[name] = request[name]
         tenant = merged.get("tenant")
         if tenant is not None and (
             not isinstance(tenant, str) or not tenant.strip()

@@ -7,22 +7,16 @@ dataclass, :class:`QueryOptions`, accepted by :meth:`WSMED.sql` /
 by the CLI, and (as a nested JSON object) by the HTTP front end's
 ``POST /sql``.
 
-The old keyword arguments keep working on every surface — they are
-merged over ``options`` and emit a :class:`DeprecationWarning`::
-
-    wsmed.sql(q, mode="adaptive", retries=2)              # deprecated
-    wsmed.sql(q, options=QueryOptions(mode="adaptive", retries=2))
-
-Some fields only make sense on one surface: ``kernel`` / ``fault_rate``
-are rejected by the resident engine (which owns its kernel), and
-``tenant`` / ``deadline_ms`` / ``observed`` are engine-level admission /
-statistics knobs rejected by the one-shot :meth:`WSMED.sql` path.
+Some fields only make sense on one surface: ``kernel`` / ``fault_rate`` /
+``observed`` are rejected by the resident engine (which owns its kernel
+and feeds its own statistics), and ``tenant`` / ``deadline_ms`` are
+engine-level admission knobs rejected by the one-shot :meth:`WSMED.sql`
+path.
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from repro.algebra.plan import AdaptationParams
@@ -89,8 +83,6 @@ class QueryOptions:
         return replace(self, **overrides)
 
 
-_FIELD_NAMES = frozenset(f.name for f in fields(QueryOptions))
-
 #: Fields only the one-shot WSMED.sql surface honors.
 ONE_SHOT_ONLY = frozenset({"kernel", "fault_rate"})
 #: Fields only the resident engine honors.
@@ -99,41 +91,25 @@ ENGINE_ONLY = frozenset({"tenant", "deadline_ms"})
 
 def resolve_options(
     options: QueryOptions | None,
-    legacy: dict,
     *,
     where: str,
     rejected: frozenset = frozenset(),
 ) -> QueryOptions:
-    """Merge deprecated keyword arguments over ``options``.
+    """Validate ``options`` for one surface (``None`` means the defaults).
 
-    ``legacy`` keys must be :class:`QueryOptions` field names; unknown
-    names raise :class:`TypeError` exactly like a bad keyword argument
-    would have.  Passing any legacy keyword emits a single
-    :class:`DeprecationWarning` naming the call site.  ``rejected`` lists
-    fields this surface does not support: setting one (to a non-default
-    value) raises :class:`~repro.util.errors.PlanError`.
+    Anything but a :class:`QueryOptions` raises
+    :class:`~repro.util.errors.PlanError`, and so does a field in
+    ``rejected`` — the fields this surface does not support — set to a
+    non-default value.
     """
-    if options is not None and not isinstance(options, QueryOptions):
+    if options is None:
+        return QueryOptions()
+    if not isinstance(options, QueryOptions):
         raise PlanError(
             f"{where} options must be a QueryOptions, got {type(options).__name__}"
         )
-    resolved = options if options is not None else QueryOptions()
-    if legacy:
-        unknown = set(legacy) - _FIELD_NAMES
-        if unknown:
-            raise TypeError(
-                f"{where}() got unexpected keyword arguments: "
-                + ", ".join(sorted(unknown))
-            )
-        warnings.warn(
-            f"passing {', '.join(sorted(legacy))} as keyword arguments to "
-            f"{where} is deprecated; pass options=QueryOptions(...) instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        resolved = replace(resolved, **legacy)
     defaults = QueryOptions()
     for name in rejected:
-        if getattr(resolved, name) != getattr(defaults, name):
+        if getattr(options, name) != getattr(defaults, name):
             raise PlanError(f"{where} does not support the {name!r} option")
-    return resolved
+    return options

@@ -2,11 +2,11 @@
 
 Typical use::
 
-    from repro import WSMED
+    from repro import WSMED, QueryOptions
 
     wsmed = WSMED(profile="paper")
     wsmed.import_all()                     # read WSDLs, generate OWF views
-    result = wsmed.sql(QUERY2, mode="adaptive")
+    result = wsmed.sql(QUERY2, options=QueryOptions(mode="adaptive"))
     print(result.summary())
 
 Execution modes (Sec. V of the paper):
@@ -496,17 +496,13 @@ class WSMED:
         sql_text: str,
         *,
         options: QueryOptions | None = None,
-        **legacy,
     ) -> PlanNode:
         """Compile SQL down to an executable plan for the given mode.
 
         Accepts a :class:`~repro.wsmed.options.QueryOptions` (planning
-        fields only); the old individual keyword arguments still work but
-        are deprecated.
+        fields only).
         """
-        opts = resolve_options(
-            options, legacy, where="WSMED.plan", rejected=ENGINE_ONLY
-        )
+        opts = resolve_options(options, where="WSMED.plan", rejected=ENGINE_ONLY)
         _, plan, _ = self._compile(
             sql_text,
             mode=opts.mode,
@@ -524,7 +520,6 @@ class WSMED:
         sql_text: str,
         *,
         options: QueryOptions | None = None,
-        **legacy,
     ) -> str:
         """Calculus, plan tree and cost estimate as a report.
 
@@ -534,9 +529,7 @@ class WSMED:
         binding-pattern reason) — or, when the heuristic pipeline cannot
         plan the query at all, the error the rewrite repaired.
         """
-        opts = resolve_options(
-            options, legacy, where="WSMED.explain", rejected=ENGINE_ONLY
-        )
+        opts = resolve_options(options, where="WSMED.explain", rejected=ENGINE_ONLY)
         if opts.optimize == "cost":
             return self._explain_cost(
                 sql_text,
@@ -697,13 +690,11 @@ class WSMED:
         sql_text: str,
         *,
         options: QueryOptions | None = None,
-        **legacy,
     ) -> QueryResult:
         """Run a SQL query and return rows plus execution statistics.
 
         All per-query knobs travel in ``options`` (a
-        :class:`~repro.wsmed.options.QueryOptions`); the old individual
-        keyword arguments still work but are deprecated.
+        :class:`~repro.wsmed.options.QueryOptions`).
 
         ``kernel`` defaults to a fresh simulated kernel (virtual time);
         pass an :class:`~repro.runtime.realtime.AsyncioKernel` to execute
@@ -727,9 +718,7 @@ class WSMED:
         ``observed`` overlays measured per-function (call cost, fanout)
         statistics onto the optimizer's cost model.
         """
-        opts = resolve_options(
-            options, legacy, where="WSMED.sql", rejected=ENGINE_ONLY
-        )
+        opts = resolve_options(options, where="WSMED.sql", rejected=ENGINE_ONLY)
         mode = ExecutionMode.of(opts.mode)
         recorder = opts.obs if opts.obs is not None else NULL_RECORDER
         _, plan, _ = self._compile(

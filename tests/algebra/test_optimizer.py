@@ -20,8 +20,11 @@ from repro.algebra.optimizer import OptimizerConfig, create_cost_based_plan
 from repro.calculus.generator import generate_calculus
 from repro.sql.parser import parse_query
 from repro.util.errors import BindingError
+from repro.wsmed.options import QueryOptions
 
 from tests.helpers import QUERY1_SQL
+
+COST = QueryOptions(optimize="cost")
 
 DISCONNECTED_SQL = """
 SELECT ra.region
@@ -98,15 +101,15 @@ def test_bushy_join_repairs_disconnected_query_order(world) -> None:
     _plan, report = _cost_plan(world, DISCONNECTED_SQL)
     assert report.join_strategy == "dp"
     assert "⋈" in report.join_shape
-    rows = world.sql(DISCONNECTED_SQL, mode="central", optimize="cost").rows
+    rows = world.sql(DISCONNECTED_SQL, options=COST).rows
     assert sorted(tuple(row) for row in rows) == sorted(
         (f"R{i:02d}",) for i in range(12)
     )
 
 
 def test_adversarial_rows_match_heuristic(world) -> None:
-    cost = world.sql(ADVERSARIAL_SQL, mode="central", optimize="cost")
-    heuristic = world.sql(ADVERSARIAL_SQL, mode="central")
+    cost = world.sql(ADVERSARIAL_SQL, options=COST)
+    heuristic = world.sql(ADVERSARIAL_SQL)
     assert cost.as_bag() == heuristic.as_bag()
     assert sorted(tuple(row) for row in cost.rows) == expected_adversarial_rows()
     # The win the estimate promised is real: far fewer expensive calls.

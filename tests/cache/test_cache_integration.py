@@ -16,6 +16,7 @@ from repro.cache import CacheConfig
 from repro.fdb.functions import helping_function
 from repro.fdb.types import CHARSTRING, TupleType
 from repro.parallel.costs import ProcessCosts
+from repro.wsmed.options import QueryOptions
 from repro.wsmed.system import WSMED
 
 SKEW_SQL = """
@@ -26,6 +27,9 @@ Where  gp.zip = sz.zip
 
 DISTINCT_ZIPS = 12
 REPEATS = 5  # 60 parameter tuples over 12 distinct keys
+CACHE_ON = CacheConfig(enabled=True)
+CACHED = QueryOptions(cache=CACHE_ON)
+PARALLEL = QueryOptions(mode="parallel", fanouts=[4])
 
 
 def build_wsmed(costs: ProcessCosts | None = None) -> WSMED:
@@ -61,7 +65,9 @@ def test_cache_off_by_default(wsmed) -> None:
 
 def test_disabled_config_is_bit_for_bit_default(wsmed) -> None:
     default = wsmed.sql(SKEW_SQL)
-    disabled = wsmed.sql(SKEW_SQL, cache=CacheConfig(enabled=False))
+    disabled = wsmed.sql(
+        SKEW_SQL, options=QueryOptions(cache=CacheConfig(enabled=False))
+    )
     assert disabled.cache_stats is None
     assert disabled.total_calls == default.total_calls
     assert disabled.elapsed == default.elapsed
@@ -73,17 +79,17 @@ def test_disabled_config_is_bit_for_bit_default(wsmed) -> None:
 
 def test_cache_cuts_calls_and_time_in_central_mode(wsmed) -> None:
     off = wsmed.sql(SKEW_SQL)
-    on = wsmed.sql(SKEW_SQL, cache=CacheConfig(enabled=True))
+    on = wsmed.sql(SKEW_SQL, options=CACHED)
     assert on.as_bag() == off.as_bag()
     assert on.total_calls == DISTINCT_ZIPS  # every repeat served from cache
     assert on.cache_stats.hits == DISTINCT_ZIPS * (REPEATS - 1)
     assert on.elapsed < off.elapsed
     assert "call cache:" in on.summary()
-    assert "call cache: off" not in on.cache_report()
+    assert "call cache: off" not in on.report(sections="cache")
 
 
 def test_cache_hits_show_up_in_trace(wsmed) -> None:
-    on = wsmed.sql(SKEW_SQL, cache=CacheConfig(enabled=True))
+    on = wsmed.sql(SKEW_SQL, options=CACHED)
     assert on.trace.count("cache_hit") == on.cache_stats.hits
     assert on.trace.count("service_call") == on.total_calls
 
@@ -102,13 +108,7 @@ def test_system_wide_cache_config_applies() -> None:
 def run_parallel_hit_rate(dispatch: str):
     costs = ProcessCosts(dispatch=dispatch).scaled(0.01)
     system = build_wsmed(costs)
-    result = system.sql(
-        SKEW_SQL,
-        mode="parallel",
-        fanouts=[4],
-        cache=CacheConfig(enabled=True),
-    )
-    return result
+    return system.sql(SKEW_SQL, options=PARALLEL.replace(cache=CACHE_ON))
 
 
 def test_hash_affinity_beats_first_finished_hit_rate(wsmed) -> None:
@@ -127,10 +127,8 @@ def test_hash_affinity_beats_first_finished_hit_rate(wsmed) -> None:
 def test_parallel_cache_cuts_broker_calls_at_least_a_quarter(wsmed) -> None:
     costs = ProcessCosts(dispatch="hash_affinity").scaled(0.01)
     system = build_wsmed(costs)
-    off = system.sql(SKEW_SQL, mode="parallel", fanouts=[4])
-    on = system.sql(
-        SKEW_SQL, mode="parallel", fanouts=[4], cache=CacheConfig(enabled=True)
-    )
+    off = system.sql(SKEW_SQL, options=PARALLEL)
+    on = system.sql(SKEW_SQL, options=PARALLEL.replace(cache=CACHE_ON))
     assert on.as_bag() == off.as_bag()
     assert on.total_calls <= 0.75 * off.total_calls
     assert on.elapsed < off.elapsed

@@ -12,6 +12,7 @@ from repro import (
     AdmissionRejected,
     AsyncioKernel,
     QueryEngine,
+    QueryOptions,
     SimKernel,
     WSMED,
 )
@@ -20,7 +21,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.parallel.faults import FaultInjection
 from repro.util.errors import ReproError
 
-PARALLEL = dict(mode="parallel", fanouts=[5, 4])
+PARALLEL = QueryOptions(mode="parallel", fanouts=[5, 4])
 
 
 def fresh_wsmed() -> WSMED:
@@ -243,16 +244,16 @@ def test_engine_sheds_deterministically_given_seeded_latencies() -> None:
             admission=AdmissionConfig(min_concurrency=1, max_concurrency=1),
             max_concurrency=1,
         )
-        queries = [(QUERY1_SQL, {}) for _ in range(2)]
+        queries = [QUERY1_SQL] * 2
         # After two completions the EWMA is the measured Query1 service
         # time (~590 model ms): a 100ms deadline is unmeetable, 10^6 ms
         # is comfortable.
         queries += [
-            (QUERY1_SQL, {"deadline_ms": 100.0}),
-            (QUERY1_SQL, {"deadline_ms": 1_000_000.0}),
-            (QUERY1_SQL, {"deadline_ms": 100.0}),
+            (QUERY1_SQL, PARALLEL.replace(deadline_ms=100.0)),
+            (QUERY1_SQL, PARALLEL.replace(deadline_ms=1_000_000.0)),
+            (QUERY1_SQL, PARALLEL.replace(deadline_ms=100.0)),
         ]
-        results = engine.sql_many(queries, return_exceptions=True, **PARALLEL)
+        results = engine.sql_many(queries, return_exceptions=True, options=PARALLEL)
         pattern = [
             index
             for index, result in enumerate(results)
@@ -276,13 +277,13 @@ def test_adaptive_rows_match_static_rows() -> None:
     static = fresh_engine()
     expected = sorted(
         tuple(row)
-        for result in static.sql_many([QUERY1_SQL] * 6, **PARALLEL)
+        for result in static.sql_many([QUERY1_SQL] * 6, options=PARALLEL)
         for row in result.rows
     )
     static.close()
 
     adaptive = fresh_engine(admission="adaptive")
-    results = adaptive.sql_many([QUERY1_SQL] * 6, **PARALLEL)
+    results = adaptive.sql_many([QUERY1_SQL] * 6, options=PARALLEL)
     actual = sorted(
         tuple(row) for result in results for row in result.rows
     )
@@ -297,7 +298,7 @@ def test_adaptive_rows_match_static_rows() -> None:
 def test_adaptive_admission_is_deterministic_under_sim() -> None:
     def run():
         engine = fresh_engine(admission="adaptive")
-        results = engine.sql_many([QUERY1_SQL] * 10, **PARALLEL)
+        results = engine.sql_many([QUERY1_SQL] * 10, options=PARALLEL)
         stats = engine.stats()
         engine.close()
         return (
@@ -314,18 +315,18 @@ def test_controller_holds_latency_that_static_overadmission_inflates() -> None:
     clients = 8
 
     static = fresh_engine(max_concurrency=clients)
-    baseline = static.sql(QUERY1_SQL, **PARALLEL).elapsed
+    baseline = static.sql(QUERY1_SQL, options=PARALLEL).elapsed
     static_worst = max(
         result.elapsed
-        for result in static.sql_many([QUERY1_SQL] * clients, **PARALLEL)
+        for result in static.sql_many([QUERY1_SQL] * clients, options=PARALLEL)
     )
     static.close()
 
     adaptive = fresh_engine(admission="adaptive", max_concurrency=clients)
-    adaptive.sql(QUERY1_SQL, **PARALLEL)  # warm + baseline sample
+    adaptive.sql(QUERY1_SQL, options=PARALLEL)  # warm + baseline sample
     adaptive_worst = max(
         result.elapsed
-        for result in adaptive.sql_many([QUERY1_SQL] * clients, **PARALLEL)
+        for result in adaptive.sql_many([QUERY1_SQL] * clients, options=PARALLEL)
     )
     adaptive.close()
 
@@ -346,17 +347,15 @@ def test_fairness_and_shedding_survive_fault_injection() -> None:
             ),
             max_concurrency=2,
         )
+        options = PARALLEL.replace(
+            on_error="retry",
+            faults=FaultInjection(call_failure_probability=0.02, seed=7),
+        )
         queries = []
         for index in range(12):
             tenant = "slow" if index < 8 else "fast"
-            queries.append((QUERY1_SQL, {"tenant": tenant}))
-        results = engine.sql_many(
-            queries,
-            return_exceptions=True,
-            on_error="retry",
-            faults=FaultInjection(call_failure_probability=0.02, seed=7),
-            **PARALLEL,
-        )
+            queries.append((QUERY1_SQL, options.replace(tenant=tenant)))
+        results = engine.sql_many(queries, return_exceptions=True)
         log = list(engine.admission.admission_log)
         stats = engine.admission.stats()
         engine.close()
@@ -457,12 +456,12 @@ def test_engine_recovers_after_kernel_shutdown_sim() -> None:
     created once and never invalidated)."""
     kernel = SimKernel(resident=True)
     engine = QueryEngine(fresh_wsmed(), kernel=kernel, max_concurrency=2)
-    before = engine.sql_many([QUERY1_SQL] * 3, **PARALLEL)
+    before = engine.sql_many([QUERY1_SQL] * 3, options=PARALLEL)
     assert all(len(result.rows) == 360 for result in before)
 
     kernel.shutdown()  # kills warm children, invalidates primitives
 
-    after = engine.sql_many([QUERY1_SQL] * 3, **PARALLEL)
+    after = engine.sql_many([QUERY1_SQL] * 3, options=PARALLEL)
     assert [sorted(map(tuple, r.rows)) for r in after] == [
         sorted(map(tuple, r.rows)) for r in before
     ]
@@ -475,11 +474,11 @@ def test_engine_recovers_after_kernel_shutdown_sim() -> None:
 def test_engine_recovers_after_kernel_shutdown_asyncio() -> None:
     kernel = AsyncioKernel(resident=True)
     engine = QueryEngine(fresh_wsmed(), kernel=kernel, max_concurrency=2)
-    before = engine.sql_many([QUERY1_SQL] * 3, **PARALLEL)
+    before = engine.sql_many([QUERY1_SQL] * 3, options=PARALLEL)
 
     kernel.shutdown()  # closes the resident loop; run() makes a fresh one
 
-    after = engine.sql_many([QUERY1_SQL] * 3, **PARALLEL)
+    after = engine.sql_many([QUERY1_SQL] * 3, options=PARALLEL)
     assert [sorted(map(tuple, r.rows)) for r in after] == [
         sorted(map(tuple, r.rows)) for r in before
     ]
@@ -488,10 +487,10 @@ def test_engine_recovers_after_kernel_shutdown_asyncio() -> None:
 
 def test_max_concurrency_change_takes_effect() -> None:
     engine = fresh_engine(max_concurrency=8)
-    engine.sql_many([QUERY1_SQL] * 3, **PARALLEL)
+    engine.sql_many([QUERY1_SQL] * 3, options=PARALLEL)
     assert engine.stats().peak_concurrency == 3
 
     engine.max_concurrency = 1  # must rebuild the admission semaphore
-    engine.sql_many([QUERY1_SQL] * 3, **PARALLEL)
+    engine.sql_many([QUERY1_SQL] * 3, options=PARALLEL)
     assert engine.stats().peak_concurrency == 3  # unchanged: admitted 1 by 1
     engine.close()

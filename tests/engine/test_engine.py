@@ -16,7 +16,7 @@ from repro import (
 )
 from repro.util.errors import ReproError
 
-PARALLEL = dict(mode="parallel", fanouts=[5, 4])
+PARALLEL = QueryOptions(mode="parallel", fanouts=[5, 4])
 
 
 def fresh_wsmed() -> WSMED:
@@ -59,7 +59,7 @@ def test_closed_engine_refuses_queries() -> None:
     engine = fresh_engine()
     engine.close()
     with pytest.raises(ReproError, match="closed"):
-        engine.sql(QUERY1_SQL, **PARALLEL)
+        engine.sql(QUERY1_SQL, options=PARALLEL)
     engine.close()  # idempotent
 
 
@@ -67,20 +67,20 @@ def test_closed_engine_refuses_queries() -> None:
 
 
 @pytest.mark.parametrize(
-    "kwargs",
+    "options",
     [
-        dict(mode="central"),
-        dict(mode="parallel", fanouts=[5, 4]),
-        dict(mode="adaptive"),
-        dict(mode="parallel", fanouts=[5, 4], cache=CacheConfig(enabled=True)),
+        QueryOptions(mode="central"),
+        PARALLEL,
+        QueryOptions(mode="adaptive"),
+        PARALLEL.replace(cache=CacheConfig(enabled=True)),
     ],
     ids=["central", "parallel", "adaptive", "parallel-cached"],
 )
-def test_cold_query_is_bit_for_bit_identical_to_wsmed(kwargs) -> None:
-    seed = fresh_wsmed().sql(QUERY1_SQL, **kwargs)
+def test_cold_query_is_bit_for_bit_identical_to_wsmed(options) -> None:
+    seed = fresh_wsmed().sql(QUERY1_SQL, options=options)
 
     engine = fresh_engine()
-    cold = engine.sql(QUERY1_SQL, **kwargs)
+    cold = engine.sql(QUERY1_SQL, options=options)
     engine.close()  # parks process_exit events in the query's trace
 
     assert cold.rows == seed.rows
@@ -96,8 +96,8 @@ def test_cold_query_is_bit_for_bit_identical_to_wsmed(kwargs) -> None:
 
 def test_warm_query_spawns_nothing_and_reuses_the_tree() -> None:
     engine = fresh_engine()
-    cold = engine.sql(QUERY1_SQL, **PARALLEL)
-    warm = engine.sql(QUERY1_SQL, **PARALLEL)
+    cold = engine.sql(QUERY1_SQL, options=PARALLEL)
+    warm = engine.sql(QUERY1_SQL, options=PARALLEL)
 
     assert cold.trace.count("spawn") == 25  # 5 + 5*4 processes
     assert warm.trace.count("spawn") == 0
@@ -120,8 +120,8 @@ def test_warm_query_spawns_nothing_and_reuses_the_tree() -> None:
 def test_warm_query_keeps_child_call_caches() -> None:
     engine = fresh_engine()
     config = CacheConfig(enabled=True)
-    cold = engine.sql(QUERY1_SQL, **PARALLEL, cache=config)
-    warm = engine.sql(QUERY1_SQL, **PARALLEL, cache=config)
+    cold = engine.sql(QUERY1_SQL, options=PARALLEL.replace(cache=config))
+    warm = engine.sql(QUERY1_SQL, options=PARALLEL.replace(cache=config))
     engine.close()
 
     assert cold.cache_stats.hits == 0
@@ -134,8 +134,8 @@ def test_warm_query_keeps_child_call_caches() -> None:
 
 def test_warm_message_counters_are_per_query() -> None:
     engine = fresh_engine()
-    cold = engine.sql(QUERY1_SQL, **PARALLEL)
-    warm = engine.sql(QUERY1_SQL, **PARALLEL)
+    cold = engine.sql(QUERY1_SQL, options=PARALLEL)
+    warm = engine.sql(QUERY1_SQL, options=PARALLEL)
     engine.close()
     # Same statement, same tree: the warm query moves the same tuples.
     assert warm.message_stats == cold.message_stats
@@ -147,13 +147,13 @@ def test_warm_message_counters_are_per_query() -> None:
 def test_wsdl_reimport_evicts_plans_and_cold_starts_pools() -> None:
     wsmed = fresh_wsmed()
     engine = QueryEngine(wsmed)
-    first = engine.sql(QUERY1_SQL, **PARALLEL)
+    first = engine.sql(QUERY1_SQL, options=PARALLEL)
 
     uri, _, _ = wsmed.catalog.operation_of("GetPlacesWithin")
     wsmed.import_wsdl(uri)  # replaces the OWF definitions
 
     assert engine.stats().plan_cache_entries == 0
-    again = engine.sql(QUERY1_SQL, **PARALLEL)
+    again = engine.sql(QUERY1_SQL, options=PARALLEL)
     stats = engine.stats()
     assert stats.plan_cache_misses == 2  # recompiled after invalidation
     assert stats.plan_cache_invalidations >= 1
@@ -171,7 +171,7 @@ def test_helping_function_replace_only_hits_dependents() -> None:
 
     wsmed = fresh_wsmed()
     engine = QueryEngine(wsmed)
-    engine.sql(QUERY1_SQL, **PARALLEL)
+    engine.sql(QUERY1_SQL, options=PARALLEL)
 
     # Query1 never applies getzipcode: replacing it must not disturb
     # the cached plan or the warm tree.
@@ -183,7 +183,7 @@ def test_helping_function_replace_only_hits_dependents() -> None:
             lambda zipstr: [(code,) for code in zipstr.split(",") if code],
         )
     )
-    engine.sql(QUERY1_SQL, **PARALLEL)
+    engine.sql(QUERY1_SQL, options=PARALLEL)
     stats = engine.stats()
     assert stats.plan_cache_hits == 1
     assert stats.warm_leases == 1
@@ -193,8 +193,8 @@ def test_helping_function_replace_only_hits_dependents() -> None:
 
 def test_max_idle_pools_zero_disables_reuse() -> None:
     engine = fresh_engine(max_idle_pools=0)
-    engine.sql(QUERY1_SQL, **PARALLEL)
-    warm_attempt = engine.sql(QUERY1_SQL, **PARALLEL)
+    engine.sql(QUERY1_SQL, options=PARALLEL)
+    warm_attempt = engine.sql(QUERY1_SQL, options=PARALLEL)
     stats = engine.stats()
     assert stats.warm_leases == 0
     assert stats.pools_trimmed == 2
@@ -209,7 +209,7 @@ def test_concurrent_queries_have_partitioned_results() -> None:
     engine = fresh_engine(max_concurrency=4)
     config = CacheConfig(enabled=True)
     first, second = engine.sql_many(
-        [QUERY1_SQL, QUERY1_SQL], **PARALLEL, cache=config
+        [QUERY1_SQL, QUERY1_SQL], options=PARALLEL.replace(cache=config)
     )
 
     assert first.trace is not second.trace
@@ -230,7 +230,7 @@ def test_concurrent_queries_have_partitioned_results() -> None:
 
 def test_admission_respects_max_concurrency() -> None:
     engine = fresh_engine(max_concurrency=1)
-    results = engine.sql_many([QUERY1_SQL] * 3, **PARALLEL)
+    results = engine.sql_many([QUERY1_SQL] * 3, options=PARALLEL)
     assert engine.stats().peak_concurrency == 1
     assert all(sorted(r.rows) == sorted(results[0].rows) for r in results)
     # Serialized queries reuse the single warm tree back to back.
@@ -241,8 +241,8 @@ def test_admission_respects_max_concurrency() -> None:
 def test_sql_many_accepts_per_query_overrides() -> None:
     engine = fresh_engine(max_concurrency=2)
     parallel, central = engine.sql_many(
-        [QUERY1_SQL, (QUERY1_SQL, dict(mode="central", fanouts=None))],
-        **PARALLEL,
+        [QUERY1_SQL, (QUERY1_SQL, PARALLEL.replace(mode="central", fanouts=None))],
+        options=PARALLEL,
     )
     assert parallel.mode == "parallel"
     assert central.mode == "central"
@@ -255,14 +255,14 @@ def test_sql_many_accepts_per_query_overrides() -> None:
 
 def test_asyncio_resident_kernel_parity() -> None:
     sim = fresh_engine()
-    expected = sim.sql(QUERY1_SQL, **PARALLEL)
+    expected = sim.sql(QUERY1_SQL, options=PARALLEL)
     sim.close()
 
     engine = QueryEngine(
         fresh_wsmed(), kernel=AsyncioKernel(resident=True, time_scale=0.0005)
     )
-    cold = engine.sql(QUERY1_SQL, **PARALLEL)
-    warm = engine.sql(QUERY1_SQL, **PARALLEL)
+    cold = engine.sql(QUERY1_SQL, options=PARALLEL)
+    warm = engine.sql(QUERY1_SQL, options=PARALLEL)
     engine.close()
 
     assert sorted(cold.rows) == sorted(expected.rows)
@@ -276,13 +276,12 @@ def test_asyncio_resident_kernel_parity() -> None:
 
 @pytest.mark.parametrize("optimize", ["heuristic", "cost"])
 def test_engine_compiles_without_deprecation_warnings(optimize) -> None:
-    # The engine's compile step must not route through the deprecated
-    # keyword-argument path of WSMED.plan.
+    # The engine's compile step must not emit a deprecation warning.
     engine = fresh_engine()
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            options = QueryOptions(mode="parallel", fanouts=[5, 4], optimize=optimize)
+            options = PARALLEL.replace(optimize=optimize)
             cold = engine.sql(QUERY1_SQL, options=options)
             warm = engine.sql(QUERY1_SQL, options=options)
     finally:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import QUERY1_SQL, WSMED, ExecutionMode
+from repro import QUERY1_SQL, QueryOptions, WSMED, ExecutionMode
 from repro.engine import CompiledPlan, PlanCache, plan_dependencies
 from repro.util.errors import PlanError
 
@@ -15,7 +15,7 @@ def wsmed():
 
 
 def _compiled(wsmed, sql, **kwargs) -> CompiledPlan:
-    plan = wsmed.plan(sql, **kwargs)
+    plan = wsmed.plan(sql, options=QueryOptions(**kwargs))
     return CompiledPlan(plan=plan, dependencies=plan_dependencies(plan))
 
 

@@ -13,7 +13,7 @@ from repro.wsmed.options import QueryOptions
 
 from tests.engine.test_engine import fresh_wsmed, trace_multiset
 
-PARALLEL = dict(mode="parallel", fanouts=[5, 4])
+PARALLEL = QueryOptions(mode="parallel", fanouts=[5, 4])
 
 
 def sharing_engine(wsmed=None, **share_kwargs) -> QueryEngine:
@@ -39,12 +39,12 @@ def test_share_config_validation() -> None:
 
 def test_disabled_share_config_is_seed_identical() -> None:
     """``ShareConfig(enabled=False)`` must leave no trace of the tier."""
-    seed = fresh_wsmed().sql(QUERY1_SQL, **PARALLEL)
+    seed = fresh_wsmed().sql(QUERY1_SQL, options=PARALLEL)
 
     engine = QueryEngine(fresh_wsmed(), share=ShareConfig())
     assert engine.shared is None
     assert not engine.pool_registry.share_pools
-    result = engine.sql(QUERY1_SQL, **PARALLEL)
+    result = engine.sql(QUERY1_SQL, options=PARALLEL)
     engine.close()
 
     assert result.rows == seed.rows
@@ -59,10 +59,10 @@ def test_disabled_share_config_is_seed_identical() -> None:
 
 def test_overlapping_queries_match_independent_runs() -> None:
     """N concurrent identical queries return the independent-run rows."""
-    seed = fresh_wsmed().sql(QUERY1_SQL, **PARALLEL)
+    seed = fresh_wsmed().sql(QUERY1_SQL, options=PARALLEL)
 
     engine = sharing_engine()
-    results = engine.sql_many([QUERY1_SQL] * 4, **PARALLEL)
+    results = engine.sql_many([QUERY1_SQL] * 4, options=PARALLEL)
     broker_calls = engine.broker.total_calls()
     stats = engine.stats()
     engine.close()
@@ -82,10 +82,10 @@ def test_overlapping_queries_match_independent_runs() -> None:
 
 def test_single_flight_without_pool_sharing() -> None:
     """With pools off, queries overlap in time and dedup via waits."""
-    seed = fresh_wsmed().sql(QUERY1_SQL, **PARALLEL)
+    seed = fresh_wsmed().sql(QUERY1_SQL, options=PARALLEL)
 
     engine = sharing_engine(pools=False)
-    results = engine.sql_many([QUERY1_SQL] * 4, **PARALLEL)
+    results = engine.sql_many([QUERY1_SQL] * 4, options=PARALLEL)
     broker_calls = engine.broker.total_calls()
     stats = engine.stats()
     engine.close()
@@ -104,14 +104,14 @@ def test_single_flight_without_pool_sharing() -> None:
 
 
 def test_asyncio_kernel_sharing_parity() -> None:
-    seed = fresh_wsmed().sql(QUERY1_SQL, **PARALLEL)
+    seed = fresh_wsmed().sql(QUERY1_SQL, options=PARALLEL)
 
     engine = QueryEngine(
         fresh_wsmed(),
         kernel=AsyncioKernel(resident=True, time_scale=0.0005),
         share=ShareConfig(enabled=True),
     )
-    results = engine.sql_many([QUERY1_SQL] * 3, **PARALLEL)
+    results = engine.sql_many([QUERY1_SQL] * 3, options=PARALLEL)
     broker_calls = engine.broker.total_calls()
     engine.close()
 
@@ -134,11 +134,11 @@ def test_failed_shared_call_does_not_poison_waiters() -> None:
     waiters share their leader's outcome by design), so with per-call
     retries every query completes with the full result.
     """
-    seed = fresh_wsmed().sql(QUERY1_SQL, **PARALLEL)
+    seed = fresh_wsmed().sql(QUERY1_SQL, options=PARALLEL)
 
     engine = sharing_engine(pools=False)
     engine.broker.fault_rate = 0.05  # deterministic: seeded broker RNG
-    results = engine.sql_many([QUERY1_SQL] * 4, **PARALLEL, retries=3)
+    results = engine.sql_many([QUERY1_SQL] * 4, options=PARALLEL.replace(retries=3))
     stats = engine.stats()
     engine.close()
 
@@ -167,7 +167,7 @@ def test_replace_mid_query_condemns_shared_trees() -> None:
     wsmed = fresh_wsmed()
     engine = sharing_engine(wsmed)
     kernel = engine.kernel
-    seed = fresh_wsmed().sql(QUERY1_SQL, **PARALLEL)
+    seed = fresh_wsmed().sql(QUERY1_SQL, options=PARALLEL)
 
     async def replace_mid_flight():
         await kernel.sleep(0.3)
@@ -177,8 +177,8 @@ def test_replace_mid_query_condemns_shared_trees() -> None:
     async def scenario():
         return await kernel.gather(
             replace_mid_flight(),
-            engine._admitted(QUERY1_SQL, QueryOptions(**PARALLEL)),
-            engine._admitted(QUERY1_SQL, QueryOptions(**PARALLEL)),
+            engine._admitted(QUERY1_SQL, PARALLEL),
+            engine._admitted(QUERY1_SQL, PARALLEL),
         )
 
     _, first, second = kernel.run(scenario())
@@ -193,7 +193,7 @@ def test_replace_mid_query_condemns_shared_trees() -> None:
     assert stats.idle_pools == 0
 
     # A fresh query recompiles and cold-starts — nothing stale is reused.
-    after = engine.sql(QUERY1_SQL, **PARALLEL)
+    after = engine.sql(QUERY1_SQL, options=PARALLEL)
     assert sorted(after.rows) == sorted(seed.rows)
     assert after.trace.count("spawn") == 25
     engine.close()

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import WSMED, AdaptationParams, GeoConfig, build_registry
+from repro import QueryOptions, WSMED, AdaptationParams, GeoConfig, build_registry
 
 SMALL_GEO = GeoConfig(
     seed=11,
@@ -51,7 +51,7 @@ QUERY_POOL = [
 def world():
     wsmed = WSMED(build_registry("fast", geo_config=SMALL_GEO))
     wsmed.import_all()
-    centrals = [wsmed.sql(sql, mode="central").as_bag() for sql in QUERY_POOL]
+    centrals = [wsmed.sql(sql).as_bag() for sql in QUERY_POOL]
     return wsmed, centrals
 
 
@@ -69,7 +69,7 @@ def test_manual_trees_preserve_results(world, query_index, fanouts) -> None:
     sql = QUERY_POOL[query_index]
     if query_index == 2:
         fanouts = fanouts[:1]  # single-level query takes one fanout
-    result = wsmed.sql(sql, mode="parallel", fanouts=fanouts)
+    result = wsmed.sql(sql, options=QueryOptions(mode="parallel", fanouts=fanouts))
     assert result.as_bag() == centrals[query_index]
 
 
@@ -90,8 +90,10 @@ def test_adaptive_trees_preserve_results(
     wsmed, centrals = world
     result = wsmed.sql(
         QUERY_POOL[query_index],
-        mode="adaptive",
-        adaptation=AdaptationParams(p=p, threshold=threshold, drop_stage=drop_stage),
+        options=QueryOptions(
+            mode="adaptive",
+            adaptation=AdaptationParams(p=p, threshold=threshold, drop_stage=drop_stage),
+        ),
     )
     assert result.as_bag() == centrals[query_index]
 
@@ -108,5 +110,7 @@ def test_adaptive_trees_preserve_results(
 def test_flat_trees_preserve_results(world, fanout, flat) -> None:
     wsmed, centrals = world
     fanouts = [fanout, 0] if flat else [fanout, fanout]
-    result = wsmed.sql(QUERY_POOL[0], mode="parallel", fanouts=fanouts)
+    result = wsmed.sql(
+        QUERY_POOL[0], options=QueryOptions(mode="parallel", fanouts=fanouts)
+    )
     assert result.as_bag() == centrals[0]

@@ -19,10 +19,12 @@ from benchmarks.optimizer_world import (
     build_optimizer_world,
     expected_rewrite_rows,
 )
-from repro import WSMED, AsyncioKernel, GeoConfig, build_registry
+from repro import WSMED, AsyncioKernel, GeoConfig, QueryOptions, build_registry
 from repro.util.errors import BindingError
 
 from tests.helpers import QUERY1_SQL, QUERY2_SQL
+
+COST = QueryOptions(optimize="cost")
 
 SMALL_GEO = GeoConfig(
     seed=11,
@@ -50,14 +52,14 @@ SYNTH_OPS = ["ListRegions", "AuditRegion", "CheckRegion"]
 def paper_world():
     wsmed = WSMED(build_registry("fast", geo_config=SMALL_GEO))
     wsmed.import_all()
-    bags = [wsmed.sql(sql, mode="central").as_bag() for sql in PAPER_QUERIES]
+    bags = [wsmed.sql(sql).as_bag() for sql in PAPER_QUERIES]
     return wsmed, bags
 
 
 @pytest.fixture(scope="module")
 def synth_world():
     wsmed = build_optimizer_world()
-    bag = wsmed.sql(ADVERSARIAL_SQL, mode="central").as_bag()
+    bag = wsmed.sql(ADVERSARIAL_SQL).as_bag()
     return wsmed, bag
 
 
@@ -67,10 +69,10 @@ def test_cost_matches_heuristic_on_paper_queries(
     paper_world, query_index, mode
 ) -> None:
     wsmed, bags = paper_world
-    kwargs = {"fanouts": [3, 2]} if mode == "parallel" else {}
-    result = wsmed.sql(
-        PAPER_QUERIES[query_index], mode=mode, optimize="cost", **kwargs
-    )
+    options = COST.replace(mode=mode)
+    if mode == "parallel":
+        options = options.replace(fanouts=[3, 2])
+    result = wsmed.sql(PAPER_QUERIES[query_index], options=options)
     assert result.as_bag() == bags[query_index]
 
 
@@ -81,10 +83,9 @@ def test_cost_matches_heuristic_on_realtime_kernel(
     wsmed, bags = paper_world
     result = wsmed.sql(
         PAPER_QUERIES[query_index],
-        mode="parallel",
-        fanouts=[2, 2],
-        optimize="cost",
-        kernel=AsyncioKernel(time_scale=0.002),
+        options=COST.replace(
+            mode="parallel", fanouts=[2, 2], kernel=AsyncioKernel(time_scale=0.002)
+        ),
     )
     assert result.as_bag() == bags[query_index]
 
@@ -93,9 +94,7 @@ def test_rewrite_query_runs_on_realtime_kernel(synth_world) -> None:
     wsmed, _bag = synth_world
     result = wsmed.sql(
         REWRITE_SQL,
-        mode="central",
-        optimize="cost",
-        kernel=AsyncioKernel(time_scale=0.002),
+        options=COST.replace(kernel=AsyncioKernel(time_scale=0.002)),
     )
     assert sorted(tuple(r) for r in result.rows) == expected_rewrite_rows()
 
@@ -122,9 +121,7 @@ def test_random_observations_never_change_paper_rows(
     wsmed, bags = paper_world
     result = wsmed.sql(
         PAPER_QUERIES[query_index],
-        mode="central",
-        optimize="cost",
-        observed=observed,
+        options=COST.replace(observed=observed),
     )
     assert result.as_bag() == bags[query_index]
 
@@ -150,7 +147,7 @@ def test_random_observations_never_change_synthetic_rows(
 ) -> None:
     wsmed, bag = synth_world
     result = wsmed.sql(
-        ADVERSARIAL_SQL, mode=mode, optimize="cost", observed=observed
+        ADVERSARIAL_SQL, options=COST.replace(mode=mode, observed=observed)
     )
     assert result.as_bag() == bag
 
@@ -158,8 +155,8 @@ def test_random_observations_never_change_synthetic_rows(
 def test_rewrite_query_matches_direct_equivalent(synth_world) -> None:
     wsmed, _bag = synth_world
     with pytest.raises(BindingError):
-        wsmed.sql(REWRITE_SQL, mode="central")
-    rewritten = wsmed.sql(REWRITE_SQL, mode="central", optimize="cost")
-    direct = wsmed.sql(REWRITE_DIRECT_SQL, mode="central")
+        wsmed.sql(REWRITE_SQL)
+    rewritten = wsmed.sql(REWRITE_SQL, options=COST)
+    direct = wsmed.sql(REWRITE_DIRECT_SQL)
     assert rewritten.as_bag() == direct.as_bag()
     assert sorted(tuple(r) for r in rewritten.rows) == expected_rewrite_rows()

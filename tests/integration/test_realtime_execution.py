@@ -11,9 +11,15 @@ import time
 
 import pytest
 
-from repro import QUERY1_SQL, AsyncioKernel, WSMED
+from repro import QUERY1_SQL, AsyncioKernel, QueryOptions, WSMED
 
 SCALE = 0.002  # one model second = 2 wall milliseconds
+PARALLEL = QueryOptions(mode="parallel", fanouts=[5, 4])
+
+
+def on_asyncio(options: QueryOptions) -> QueryOptions:
+    """``options`` run on a fresh asyncio kernel at :data:`SCALE`."""
+    return options.replace(kernel=AsyncioKernel(time_scale=SCALE))
 
 
 @pytest.fixture(scope="module")
@@ -24,21 +30,16 @@ def wsmed():
 
 
 def test_central_query1_on_asyncio_matches_sim(wsmed) -> None:
-    sim = wsmed.sql(QUERY1_SQL, mode="central")
-    real = wsmed.sql(QUERY1_SQL, mode="central", kernel=AsyncioKernel(time_scale=SCALE))
+    sim = wsmed.sql(QUERY1_SQL)
+    real = wsmed.sql(QUERY1_SQL, options=on_asyncio(QueryOptions()))
     assert real.as_bag() == sim.as_bag()
     assert real.total_calls == 311
 
 
 def test_parallel_query1_on_asyncio(wsmed) -> None:
-    sim = wsmed.sql(QUERY1_SQL, mode="parallel", fanouts=[5, 4])
+    sim = wsmed.sql(QUERY1_SQL, options=PARALLEL)
     started = time.monotonic()
-    real = wsmed.sql(
-        QUERY1_SQL,
-        mode="parallel",
-        fanouts=[5, 4],
-        kernel=AsyncioKernel(time_scale=SCALE),
-    )
+    real = wsmed.sql(QUERY1_SQL, options=on_asyncio(PARALLEL))
     wall = time.monotonic() - started
     assert real.as_bag() == sim.as_bag()
     assert real.tree.processes_spawned == 25
@@ -49,9 +50,7 @@ def test_parallel_query1_on_asyncio(wsmed) -> None:
 
 
 def test_adaptive_on_asyncio(wsmed) -> None:
-    real = wsmed.sql(
-        QUERY1_SQL, mode="adaptive", kernel=AsyncioKernel(time_scale=SCALE)
-    )
+    real = wsmed.sql(QUERY1_SQL, options=on_asyncio(QueryOptions(mode="adaptive")))
     assert len(real) == 360
     assert real.tree.add_stages >= 1
 
@@ -59,14 +58,10 @@ def test_adaptive_on_asyncio(wsmed) -> None:
 def test_batched_parallel_query1_on_asyncio(wsmed) -> None:
     from dataclasses import replace
 
-    sim = wsmed.sql(QUERY1_SQL, mode="parallel", fanouts=[5, 4])
+    sim = wsmed.sql(QUERY1_SQL, options=PARALLEL)
     costs = replace(wsmed.process_costs, batch_size=4)
     real = wsmed.sql(
-        QUERY1_SQL,
-        mode="parallel",
-        fanouts=[5, 4],
-        process_costs=costs,
-        kernel=AsyncioKernel(time_scale=SCALE),
+        QUERY1_SQL, options=on_asyncio(PARALLEL.replace(process_costs=costs))
     )
     # Batching changes the messaging, never the answer — also under real
     # asyncio concurrency, where message arrival order is not scripted.
@@ -76,13 +71,9 @@ def test_batched_parallel_query1_on_asyncio(wsmed) -> None:
 
 
 def test_model_elapsed_consistent_across_kernels(wsmed) -> None:
-    sim = wsmed.sql(QUERY1_SQL, mode="parallel", fanouts=[4, 4])
-    real = wsmed.sql(
-        QUERY1_SQL,
-        mode="parallel",
-        fanouts=[4, 4],
-        kernel=AsyncioKernel(time_scale=SCALE),
-    )
+    options = QueryOptions(mode="parallel", fanouts=[4, 4])
+    sim = wsmed.sql(QUERY1_SQL, options=options)
+    real = wsmed.sql(QUERY1_SQL, options=on_asyncio(options))
     # Real execution adds scheduling overhead on top of modelled time, so
     # in model terms it can only be slower.  (At small time scales the
     # event-loop overhead dominates, so no useful upper bound exists.)

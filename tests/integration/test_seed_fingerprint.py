@@ -11,7 +11,10 @@ If a PR moves these numbers on purpose, that is a calibration change and
 the new values must be justified in the PR, not silently re-pinned.
 """
 
-from repro import QUERY1_SQL, QUERY2_SQL, QueryOptions, WSMED
+from collections import Counter
+
+from repro import QUERY1_SQL, QUERY2_SQL, QueryEngine, QueryOptions, WSMED
+from repro.algebra.explain import render_plan
 
 FIG1_CENTRAL_ELAPSED = 245.18603205739868
 FIG1_CENTRAL_CALLS = 311
@@ -47,15 +50,55 @@ def test_fig3_fingerprint_is_bit_identical() -> None:
     assert central.rows == [("CO", "80840")]
 
 
-def test_options_path_matches_legacy_path_exactly() -> None:
-    """The QueryOptions surface is a pure re-plumbing: same bits out."""
-    import warnings
+# -- off-by-default layers leave the seed path untouched ----------------------
 
-    system = _paper_system()
-    modern = system.sql(QUERY1_SQL, options=QueryOptions(mode="central"))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        legacy = system.sql(QUERY1_SQL, mode="central")
-    assert legacy.elapsed == modern.elapsed
-    assert legacy.total_calls == modern.total_calls
-    assert legacy.rows == modern.rows
+PARALLEL = QueryOptions(mode="parallel", fanouts=[5, 4])
+
+
+def _norm(value):
+    if isinstance(value, dict):
+        return tuple(sorted((k, _norm(v)) for k, v in value.items()))
+    if isinstance(value, (list, tuple)):
+        return tuple(_norm(v) for v in value)
+    return value
+
+
+def _bag(result) -> tuple[Counter, Counter]:
+    """Rows plus the call trace, both as order-insensitive multisets."""
+    rows = Counter(tuple(row) for row in result.rows)
+    trace = Counter((event.kind, _norm(event.data)) for event in result.trace)
+    return rows, trace
+
+
+def _engine_vs_seed() -> tuple[tuple, tuple]:
+    wsmed = WSMED(profile="fast")
+    wsmed.import_all()
+    seed = wsmed.sql(QUERY1_SQL, options=PARALLEL)
+    engine = QueryEngine(wsmed)
+    served = engine.sql(QUERY1_SQL, options=PARALLEL)
+    engine.close()
+    # Fingerprint both only after both ran: trace events hold live dicts
+    # that later queries on the same WSMED mutate in place.
+    return _bag(served), _bag(seed)
+
+
+def test_optimize_off_results_identical_to_seed_path() -> None:
+    """The default ``optimize="heuristic"`` compile path is seed-identical:
+    the rendered plan tree does not change when the heuristic is named
+    explicitly, and the engine returns the seed's rows and call trace."""
+    wsmed = WSMED(profile="fast")
+    wsmed.import_all()
+    plan_default = render_plan(wsmed.plan(QUERY1_SQL, options=PARALLEL))
+    plan_explicit = render_plan(
+        wsmed.plan(QUERY1_SQL, options=PARALLEL.replace(optimize="heuristic"))
+    )
+    assert plan_default == plan_explicit, "explicit heuristic differs"
+    served, seed = _engine_vs_seed()
+    assert served == seed, "default optimize changed results"
+
+
+def test_admission_off_results_identical_to_seed_path() -> None:
+    """The default ``admission="static"`` engine does not perturb query
+    results or call traces relative to the one-shot seed path."""
+    served, seed = _engine_vs_seed()
+    assert served == seed, "static admission changed results"

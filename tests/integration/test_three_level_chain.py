@@ -8,7 +8,7 @@ the parallel plan has three FF_APPLYP levels (a process tree of depth 3).
 
 import pytest
 
-from repro import WSMED, AdaptationParams, GeoConfig, build_registry
+from repro import QueryOptions, WSMED, AdaptationParams, GeoConfig, build_registry
 
 THREE_LEVEL_SQL = """
 SELECT gl.placename, gl.population
@@ -40,7 +40,7 @@ def wsmed():
 
 @pytest.fixture(scope="module")
 def central(wsmed):
-    return wsmed.sql(THREE_LEVEL_SQL, mode="central")
+    return wsmed.sql(THREE_LEVEL_SQL)
 
 
 def test_central_three_levels(wsmed, central) -> None:
@@ -52,7 +52,8 @@ def test_central_three_levels(wsmed, central) -> None:
 
 
 def test_parallel_three_level_tree(wsmed, central) -> None:
-    result = wsmed.sql(THREE_LEVEL_SQL, mode="parallel", fanouts=[2, 2, 2])
+    options = QueryOptions(mode="parallel", fanouts=[2, 2, 2])
+    result = wsmed.sql(THREE_LEVEL_SQL, options=options)
     assert result.as_bag() == central.as_bag()
     # Pools are lazy: with a single state only one level-one child works,
     # so the full 2+4+8 tree never materializes — spawned processes are
@@ -63,7 +64,8 @@ def test_parallel_three_level_tree(wsmed, central) -> None:
 
 
 def test_three_level_plan_nests_three_ff_operators(wsmed) -> None:
-    plan = wsmed.plan(THREE_LEVEL_SQL, mode="parallel", fanouts=[2, 3, 4])
+    options = QueryOptions(mode="parallel", fanouts=[2, 3, 4])
+    plan = wsmed.plan(THREE_LEVEL_SQL, options=options)
     level1 = plan
     assert level1.fanout == 2
     level2 = level1.plan_function.body
@@ -75,8 +77,9 @@ def test_three_level_plan_nests_three_ff_operators(wsmed) -> None:
 def test_adaptive_three_levels(wsmed, central) -> None:
     result = wsmed.sql(
         THREE_LEVEL_SQL,
-        mode="adaptive",
-        adaptation=AdaptationParams(p=1, max_fanout=4),
+        options=QueryOptions(
+            mode="adaptive", adaptation=AdaptationParams(p=1, max_fanout=4)
+        ),
     )
     assert result.as_bag() == central.as_bag()
     # Adaptation happened at more than one level of the tree.
@@ -89,7 +92,8 @@ def test_adaptive_three_levels(wsmed, central) -> None:
 def test_flat_fusion_of_inner_levels(wsmed, central) -> None:
     # {4, 0, 2}: fuse GetPlacesInside into GetInfoByState's plan function,
     # keep GetPlaceList as its own level.
-    result = wsmed.sql(THREE_LEVEL_SQL, mode="parallel", fanouts=[4, 0, 2])
+    options = QueryOptions(mode="parallel", fanouts=[4, 0, 2])
+    result = wsmed.sql(THREE_LEVEL_SQL, options=options)
     assert result.as_bag() == central.as_bag()
     # Level one spawns eagerly (4); only the one active child builds its
     # fused-level pool of 2.

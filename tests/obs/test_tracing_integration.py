@@ -11,13 +11,20 @@ from repro import (
     QUERY2_SQL,
     AsyncioKernel,
     QueryEngine,
-    SimKernel,
+    QueryOptions,
     TraceRecorder,
     WSMED,
 )
 from repro.obs.validate import validate_spans
 
 SCALE = 0.002  # one model second = 2 wall milliseconds
+Q1_PARALLEL = QueryOptions(mode="parallel", fanouts=[5, 4])
+Q2_PARALLEL = QueryOptions(mode="parallel", fanouts=[4, 3])
+
+
+def traced(options: QueryOptions, **overrides) -> QueryOptions:
+    """``options`` with a fresh :class:`TraceRecorder` (and overrides)."""
+    return options.replace(obs=TraceRecorder(), **overrides)
 
 
 @pytest.fixture(scope="module")
@@ -58,9 +65,7 @@ def _assert_cross_process_links_resolve(store) -> None:
 
 
 def test_query1_traced_under_sim_kernel(wsmed) -> None:
-    result = wsmed.sql(
-        QUERY1_SQL, mode="parallel", fanouts=[5, 4], obs=TraceRecorder()
-    )
+    result = wsmed.sql(QUERY1_SQL, options=traced(Q1_PARALLEL))
     assert len(result.rows) == 360
     _assert_well_formed(result, expect_children=True)
     _assert_cross_process_links_resolve(result.spans)
@@ -69,10 +74,7 @@ def test_query1_traced_under_sim_kernel(wsmed) -> None:
 def test_query1_traced_under_asyncio_kernel(wsmed) -> None:
     result = wsmed.sql(
         QUERY1_SQL,
-        mode="parallel",
-        fanouts=[5, 4],
-        kernel=AsyncioKernel(time_scale=SCALE),
-        obs=TraceRecorder(),
+        options=traced(Q1_PARALLEL, kernel=AsyncioKernel(time_scale=SCALE)),
     )
     assert len(result.rows) == 360
     _assert_well_formed(result, expect_children=True)
@@ -83,9 +85,7 @@ def test_query1_traced_under_asyncio_kernel(wsmed) -> None:
 
 
 def test_query2_traced_under_sim_kernel(wsmed) -> None:
-    result = wsmed.sql(
-        QUERY2_SQL, mode="parallel", fanouts=[4, 3], obs=TraceRecorder()
-    )
+    result = wsmed.sql(QUERY2_SQL, options=traced(Q2_PARALLEL))
     _assert_well_formed(result, expect_children=True)
     _assert_cross_process_links_resolve(result.spans)
     report = result.critical_path()
@@ -104,16 +104,13 @@ def test_query2_traced_under_sim_kernel(wsmed) -> None:
 def test_query2_traced_under_asyncio_kernel(wsmed) -> None:
     result = wsmed.sql(
         QUERY2_SQL,
-        mode="parallel",
-        fanouts=[4, 3],
-        kernel=AsyncioKernel(time_scale=SCALE / 4),
-        obs=TraceRecorder(),
+        options=traced(Q2_PARALLEL, kernel=AsyncioKernel(time_scale=SCALE / 4)),
     )
     _assert_well_formed(result, expect_children=True)
 
 
 def test_adaptive_run_records_adaptation_instants(wsmed) -> None:
-    result = wsmed.sql(QUERY1_SQL, mode="adaptive", obs=TraceRecorder())
+    result = wsmed.sql(QUERY1_SQL, options=traced(QueryOptions(mode="adaptive")))
     _assert_well_formed(result, expect_children=True)
     adapt = [span.name for span in result.spans.by_category("adapt")]
     assert "init_stage" in adapt
@@ -121,7 +118,7 @@ def test_adaptive_run_records_adaptation_instants(wsmed) -> None:
 
 
 def test_central_mode_traces_without_child_processes(wsmed) -> None:
-    result = wsmed.sql(QUERY1_SQL, mode="central", obs=TraceRecorder())
+    result = wsmed.sql(QUERY1_SQL, options=traced(QueryOptions()))
     _assert_well_formed(result, expect_children=False)
 
 
@@ -129,19 +126,17 @@ def test_central_mode_traces_without_child_processes(wsmed) -> None:
 
 
 def test_tracing_does_not_change_the_execution(wsmed) -> None:
-    plain = wsmed.sql(QUERY1_SQL, mode="parallel", fanouts=[5, 4])
-    traced = wsmed.sql(
-        QUERY1_SQL, mode="parallel", fanouts=[5, 4], obs=TraceRecorder()
-    )
-    assert traced.rows == plain.rows
-    assert traced.elapsed == plain.elapsed
-    assert traced.total_calls == plain.total_calls
-    assert traced.message_stats.as_dict() == plain.message_stats.as_dict()
-    assert sorted(map(str, traced.trace)) == sorted(map(str, plain.trace))
+    plain = wsmed.sql(QUERY1_SQL, options=Q1_PARALLEL)
+    result = wsmed.sql(QUERY1_SQL, options=traced(Q1_PARALLEL))
+    assert result.rows == plain.rows
+    assert result.elapsed == plain.elapsed
+    assert result.total_calls == plain.total_calls
+    assert result.message_stats.as_dict() == plain.message_stats.as_dict()
+    assert sorted(map(str, result.trace)) == sorted(map(str, plain.trace))
 
 
 def test_untraced_result_has_no_spans(wsmed) -> None:
-    result = wsmed.sql(QUERY1_SQL, mode="central")
+    result = wsmed.sql(QUERY1_SQL)
     assert result.spans is None
     assert len(result.critical_path().path) == 0
 
@@ -152,12 +147,8 @@ def test_untraced_result_has_no_spans(wsmed) -> None:
 def test_engine_traces_warm_and_cold_queries(wsmed) -> None:
     engine = QueryEngine(wsmed)
     try:
-        cold = engine.sql(
-            QUERY1_SQL, mode="parallel", fanouts=[5, 4], obs=TraceRecorder()
-        )
-        warm = engine.sql(
-            QUERY1_SQL, mode="parallel", fanouts=[5, 4], obs=TraceRecorder()
-        )
+        cold = engine.sql(QUERY1_SQL, options=traced(Q1_PARALLEL))
+        warm = engine.sql(QUERY1_SQL, options=traced(Q1_PARALLEL))
     finally:
         engine.close()
     for result in (cold, warm):
@@ -171,29 +162,14 @@ def test_engine_traces_warm_and_cold_queries(wsmed) -> None:
 # -- the redesigned stats API -------------------------------------------------
 
 
-def test_report_sections_match_deprecated_shims(wsmed) -> None:
-    from repro.cache import CacheConfig
-
-    result = wsmed.sql(
-        QUERY1_SQL, mode="parallel", fanouts=[5, 4], cache=CacheConfig(enabled=True)
-    )
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        assert result.cache_report() == result.report(sections="cache")
-        assert result.batch_report() == result.report(sections="batch")
-        assert result.fault_report() == result.report(sections="faults")
-    shim_warnings = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-    assert len(shim_warnings) == 3
-
-
 def test_report_rejects_unknown_sections(wsmed) -> None:
-    result = wsmed.sql(QUERY1_SQL, mode="central")
+    result = wsmed.sql(QUERY1_SQL)
     with pytest.raises(ValueError, match="unknown report section"):
         result.report(sections="nonsense")
 
 
 def test_summary_emits_no_deprecation_warnings(wsmed) -> None:
-    result = wsmed.sql(QUERY1_SQL, mode="parallel", fanouts=[5, 4])
+    result = wsmed.sql(QUERY1_SQL, options=Q1_PARALLEL)
     with warnings.catch_warnings():
         warnings.simplefilter("error", DeprecationWarning)
         result.summary()
@@ -201,7 +177,7 @@ def test_summary_emits_no_deprecation_warnings(wsmed) -> None:
 
 
 def test_metrics_registry_reflects_execution(wsmed) -> None:
-    result = wsmed.sql(QUERY1_SQL, mode="parallel", fanouts=[5, 4])
+    result = wsmed.sql(QUERY1_SQL, options=Q1_PARALLEL)
     registry = result.metrics()
     assert registry.value("query.total_calls") == result.total_calls
     assert registry.value("query.rows") == len(result.rows)

@@ -23,6 +23,7 @@ from repro.parallel.ff_applyp import FFPool
 from repro.parallel.messages import EndOfCall
 from repro.runtime.simulated import SimKernel
 from repro.util.errors import PlanError
+from repro.wsmed.options import QueryOptions
 
 from tests.helpers import QUERY1_SQL, QUERY2_SQL, make_world
 from tests.parallel.helpers_parallel import run_parallel
@@ -196,7 +197,7 @@ def test_batching_composes_with_call_cache() -> None:
     system.import_all()
     sql = QUERY1_SQL
     central = system.sql(sql)
-    batched = system.sql(sql, mode="parallel", fanouts=[4, 3])
+    batched = system.sql(sql, options=QueryOptions(mode="parallel", fanouts=[4, 3]))
     assert batched.as_bag() == central.as_bag()
     assert batched.cache_stats is not None
     assert batched.message_stats.param_batches > 0

@@ -13,7 +13,7 @@ import pickle
 
 import pytest
 
-from repro import QUERY1_SQL, QUERY2_SQL, WSMED
+from repro import QUERY1_SQL, QUERY2_SQL, QueryOptions, WSMED
 from repro.algebra.plan import PlanFunction
 from repro.fdb.types import BOOLEAN, CHARSTRING, INTEGER, REAL, AtomicType
 from repro.parallel import messages
@@ -134,7 +134,7 @@ def wsmed() -> WSMED:
 
 
 def _plan_functions(wsmed, sql, **kwargs) -> list[PlanFunction]:
-    plan = wsmed.plan(sql, **kwargs)
+    plan = wsmed.plan(sql, options=QueryOptions(**kwargs))
     found = []
 
     def walk(node) -> None:

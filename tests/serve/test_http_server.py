@@ -14,6 +14,9 @@ import pytest
 from repro import QUERY1_SQL, AsyncioKernel, QueryEngine, WSMED
 from repro.serve import QueryServer
 
+#: The nested "options" object of a parallel {5,4} Query1 request.
+PARALLEL = {"mode": "parallel", "fanouts": [5, 4]}
+
 
 @pytest.fixture(scope="module")
 def server(tmp_path_factory):
@@ -73,7 +76,7 @@ def test_healthz(server) -> None:
 
 def test_sql_streams_rows_as_ndjson(server) -> None:
     header, rows, trailer = query(
-        server, {"sql": QUERY1_SQL, "mode": "parallel", "fanouts": [5, 4]}
+        server, {"sql": QUERY1_SQL, "options": PARALLEL}
     )
     assert header["columns"] == ["placename", "state"]
     assert len(rows) == 360
@@ -88,10 +91,8 @@ def test_traced_request_exports_a_chrome_trace(server) -> None:
         server,
         {
             "sql": QUERY1_SQL,
-            "mode": "parallel",
-            "fanouts": [5, 4],
             "trace": True,
-            "name": "Traced",
+            "options": {**PARALLEL, "name": "Traced"},
         },
     )
     trace_file = trailer["trace_file"]
@@ -106,7 +107,7 @@ def test_traced_request_exports_a_chrome_trace(server) -> None:
 
 def test_repeated_queries_hit_the_warm_engine(server) -> None:
     for _ in range(2):
-        query(server, {"sql": QUERY1_SQL, "mode": "parallel", "fanouts": [5, 4]})
+        query(server, {"sql": QUERY1_SQL, "options": PARALLEL})
     response, payload = request(server, "GET", "/stats")
     assert response.status == 200
     stats = json.loads(payload)
@@ -117,7 +118,7 @@ def test_repeated_queries_hit_the_warm_engine(server) -> None:
 def test_cached_request_reports_cache_counters(server) -> None:
     _, _, trailer = query(
         server,
-        {"sql": QUERY1_SQL, "mode": "parallel", "fanouts": [5, 4], "cache": True},
+        {"sql": QUERY1_SQL, "options": {**PARALLEL, "cache": True}},
     )
     assert trailer["cache"]["misses"] > 0
 

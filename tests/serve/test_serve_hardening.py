@@ -145,14 +145,15 @@ def test_missing_body_post_is_a_clean_400() -> None:
 
 def test_bad_tenant_and_deadline_fields_are_400s() -> None:
     with running_server(StubEngine(_ok)) as server:
-        for body in (
-            {"sql": "Select 1", "tenant": 7},
-            {"sql": "Select 1", "tenant": "  "},
-            {"sql": "Select 1", "deadline_ms": -10},
-            {"sql": "Select 1", "deadline_ms": 0},
-            {"sql": "Select 1", "deadline_ms": True},
-            {"sql": "Select 1", "deadline_ms": "soon"},
+        for options in (
+            {"tenant": 7},
+            {"tenant": "  "},
+            {"deadline_ms": -10},
+            {"deadline_ms": 0},
+            {"deadline_ms": True},
+            {"deadline_ms": "soon"},
         ):
+            body = {"sql": "Select 1", "options": options}
             response, payload = request(server, "POST", "/sql", body)
             assert response.status == 400, (body, payload)
 
@@ -169,7 +170,10 @@ def test_tenant_and_deadline_are_forwarded_to_the_engine() -> None:
             server,
             "POST",
             "/sql",
-            {"sql": "Select 1", "tenant": "analytics", "deadline_ms": 1500},
+            {
+                "sql": "Select 1",
+                "options": {"tenant": "analytics", "deadline_ms": 1500},
+            },
         )
         assert response.status == 200
     assert seen["options"].tenant == "analytics"

@@ -1,4 +1,5 @@
-"""The versioned POST /sql schema: nested "options", legacy aliases."""
+"""The versioned POST /sql schema: every per-query knob lives in the
+nested "options" object; the top level holds only sql, trace, options."""
 
 import json
 
@@ -48,33 +49,17 @@ def test_nested_options_reach_the_engine_as_a_query_options() -> None:
     assert options.tenant == "analytics"
 
 
-def test_top_level_legacy_aliases_still_work() -> None:
+def test_top_level_option_fields_are_400s_naming_the_field() -> None:
     seen = {}
     with running_server(_capture_engine(seen)) as server:
-        response, payload = request(
-            server, "POST", "/sql", {"sql": "Select 1", "mode": "adaptive"}
-        )
-        assert response.status == 200, payload
-    assert seen["options"].mode == "adaptive"
-
-
-def test_matching_duplicate_is_tolerated_conflict_is_a_400() -> None:
-    with running_server(_capture_engine({})) as server:
-        response, _ = request(
-            server,
-            "POST",
-            "/sql",
-            {"sql": "Select 1", "mode": "central", "options": {"mode": "central"}},
-        )
-        assert response.status == 200
-        response, payload = request(
-            server,
-            "POST",
-            "/sql",
-            {"sql": "Select 1", "mode": "central", "options": {"mode": "adaptive"}},
-        )
-        assert response.status == 400
-        assert "conflicts" in json.loads(payload)["error"]
+        for field, value in (("mode", "adaptive"), ("fanouts", [5, 4]), ("retries", 1)):
+            response, payload = request(
+                server, "POST", "/sql", {"sql": "Select 1", field: value}
+            )
+            assert response.status == 400, payload
+            error = json.loads(payload)["error"]
+            assert "unknown request fields" in error and repr(field) in error
+    assert seen == {}
 
 
 def test_unknown_options_field_is_a_400() -> None:

@@ -203,13 +203,15 @@ def test_shell_cache_toggle_and_report(wsmed) -> None:
         "\\cache\n"
         "\\cache on\n"
         "SELECT gs.Name FROM GetAllStates gs LIMIT 3;\n"
+        "\\stats cache\n"
         "\\cache\n"
         "\\cache off\n"
         "\\quit\n",
     )
-    assert "call cache: off (no cached execution yet)" in output
+    assert "call cache: off\n" in output
     assert "cache = on" in output
     assert "call cache: 0 hits, 1 misses" in output
+    assert "call cache: on\n" in output
     assert "cache = off" in output
 
 
@@ -248,7 +250,7 @@ def test_shell_faults_policy_and_injection_toggles(wsmed) -> None:
         "\\quit\n"
     )
     output = run_shell(wsmed, script)
-    assert "on_error = fail; injection = none (no execution yet)" in output
+    assert "on_error = fail; injection = none\n" in output
     assert "on_error = retry" in output
     assert "fault injection: call failure 0.1, crash 0.01" in output
     assert "faults = off (policy fail, no injection)" in output
@@ -264,12 +266,15 @@ def test_shell_faults_reports_after_execution(wsmed) -> None:
         "SELECT gp.ToCity FROM GetAllStates gs, GetPlacesWithin gp "
         "WHERE gp.state = gs.State AND gp.place = 'Atlanta' "
         "AND gp.distance = 15.0 AND gp.placeTypeToFind = 'City';\n"
+        "\\stats faults\n"
         "\\faults\n"
         "\\quit\n"
     )
     output = run_shell(wsmed, script)
     assert "faults:" in output
     assert "failed calls" in output
+    # Without an argument \\faults shows the setting, not the report.
+    assert "on_error = retry; injection = call failure 0.05, crash 0\n" in output
 
 
 def test_cli_on_error_flag_accepted() -> None:
@@ -318,13 +323,6 @@ def test_shell_stats_shows_all_sections(wsmed) -> None:
     assert "call cache: off" in output
     assert "messages:" in output
     assert "faults: none" in output
-
-
-def test_shell_stats_single_section_matches_alias(wsmed) -> None:
-    script = f"{QUERY1_ONELINE};\n\\stats faults\n\\faults\n\\quit\n"
-    output = run_shell(wsmed, script, mode="parallel", fanouts=[5, 4])
-    # The new section and the legacy alias print the identical line.
-    assert output.count("faults: none") == 2
 
 
 def test_shell_stats_engine_section(wsmed) -> None:
@@ -401,4 +399,12 @@ def test_shell_traced_stats_include_critical_path(wsmed, tmp_path) -> None:
 def test_shell_help_mentions_stats(wsmed) -> None:
     output = run_shell(wsmed, "\\help\n\\quit\n")
     assert "\\stats SECTION" in output
-    assert "alias for \\stats cache" in output
+    assert "\\cache            current call-cache setting" in output
+    assert "alias for" not in output
+    assert "\\engine" not in output and "\\share" not in output
+
+
+def test_shell_engine_and_share_commands_are_gone(wsmed) -> None:
+    output = run_shell(wsmed, "\\engine\n\\share\n\\quit\n")
+    assert "unknown command \\engine" in output
+    assert "unknown command \\share" in output

@@ -13,7 +13,9 @@ from benchmarks.optimizer_world import (
     REWRITE_SQL,
     build_optimizer_world,
 )
-from repro import WSMED, QUERY1_SQL
+from repro import QueryOptions, WSMED, QUERY1_SQL
+
+COST = QueryOptions(optimize="cost")
 
 
 @pytest.fixture(scope="module")
@@ -32,14 +34,14 @@ def test_heuristic_explain_is_unchanged(world) -> None:
 
 
 def test_cost_explain_annotates_operators(world) -> None:
-    text = world.explain(ADVERSARIAL_SQL, optimize="cost")
+    text = world.explain(ADVERSARIAL_SQL, options=COST)
     assert "-- cost-based plan --" in text
     assert "in≈" in text and "out≈" in text
     assert "calls≈" in text and "time≈" in text
 
 
 def test_cost_explain_compares_against_heuristic(world) -> None:
-    text = world.explain(ADVERSARIAL_SQL, optimize="cost")
+    text = world.explain(ADVERSARIAL_SQL, options=COST)
     assert "-- optimizer --" in text
     assert "heuristic order:" in text
     assert "-- estimate (cost-based) --" in text
@@ -50,7 +52,7 @@ def test_cost_explain_compares_against_heuristic(world) -> None:
 
 
 def test_cost_explain_beats_heuristic_on_adversarial_order(world) -> None:
-    text = world.explain(ADVERSARIAL_SQL, optimize="cost")
+    text = world.explain(ADVERSARIAL_SQL, options=COST)
     (ratio_line,) = [
         line for line in text.splitlines()
         if line.startswith("cost-based vs heuristic:")
@@ -60,7 +62,7 @@ def test_cost_explain_beats_heuristic_on_adversarial_order(world) -> None:
 
 
 def test_cost_explain_shows_rewrite_reason(world) -> None:
-    text = world.explain(REWRITE_SQL, optimize="cost")
+    text = world.explain(REWRITE_SQL, options=COST)
     assert "NameOf -> CodeOf" in text
     assert "binding pattern" in text
     assert "unbound: no_code" in text
@@ -77,11 +79,10 @@ def _first_sequential_time(text: str) -> float:
 
 
 def test_cost_explain_reflects_observed_overlay(world) -> None:
-    base = world.explain(ADVERSARIAL_SQL, optimize="cost")
+    base = world.explain(ADVERSARIAL_SQL, options=COST)
     overlaid = world.explain(
         ADVERSARIAL_SQL,
-        optimize="cost",
-        observed={"CheckRegion": (30.0, 6.0)},
+        options=COST.replace(observed={"CheckRegion": (30.0, 6.0)}),
     )
     # Claiming the probe costs 30 s/call inflates the cost-based
     # estimate; the explain output must be derived from the overlay.
@@ -94,5 +95,5 @@ def test_default_wsmed_explain_unaffected() -> None:
     wsmed = WSMED(profile="fast")
     wsmed.import_all()
     assert wsmed.explain(QUERY1_SQL) == wsmed.explain(
-        QUERY1_SQL, optimize="heuristic"
+        QUERY1_SQL, options=QueryOptions(optimize="heuristic")
     )

@@ -1,4 +1,4 @@
-"""The unified QueryOptions API and its legacy-keyword compatibility shim."""
+"""The unified QueryOptions API: the only way to pass per-query options."""
 
 import warnings
 
@@ -24,76 +24,65 @@ def wsmed():
 # -- resolve_options mechanics ---------------------------------------------------
 
 
-def test_legacy_keywords_merge_over_options_with_a_deprecation_warning() -> None:
-    base = QueryOptions(mode="parallel", retries=1)
-    with pytest.warns(DeprecationWarning, match="retries"):
-        resolved = resolve_options(base, {"retries": 3}, where="WSMED.sql")
-    assert resolved.mode == "parallel"
-    assert resolved.retries == 3
-
-
 def test_no_legacy_keywords_no_warning() -> None:
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        resolved = resolve_options(None, {}, where="WSMED.sql")
+        resolved = resolve_options(None, where="WSMED.sql")
     assert resolved == QueryOptions()
 
 
-def test_unknown_legacy_keyword_is_a_type_error() -> None:
+def test_unknown_legacy_keyword_is_a_type_error(wsmed) -> None:
     with pytest.raises(TypeError, match="fanout_vector"):
-        resolve_options(None, {"fanout_vector": [3]}, where="WSMED.sql")
+        wsmed.sql(QUERY1_SQL, fanout_vector=[3])
 
 
 def test_non_options_object_is_rejected() -> None:
     with pytest.raises(PlanError, match="QueryOptions"):
-        resolve_options({"mode": "central"}, {}, where="WSMED.sql")
+        resolve_options({"mode": "central"}, where="WSMED.sql")
 
 
 def test_rejected_fields_raise_only_when_set() -> None:
-    resolve_options(QueryOptions(), {}, where="X", rejected=ENGINE_ONLY)
+    resolve_options(QueryOptions(), where="X", rejected=ENGINE_ONLY)
     with pytest.raises(PlanError, match="tenant"):
         resolve_options(
-            QueryOptions(tenant="analytics"), {}, where="X", rejected=ENGINE_ONLY
+            QueryOptions(tenant="analytics"), where="X", rejected=ENGINE_ONLY
         )
 
 
-# -- surface equivalence ---------------------------------------------------------
+# -- no second way in -------------------------------------------------------------
 
 
-def test_wsmed_sql_options_equals_legacy_kwargs(wsmed) -> None:
-    knobs = dict(mode="parallel", fanouts=[5, 4], retries=1)
-    with pytest.warns(DeprecationWarning):
-        legacy = wsmed.sql(QUERY1_SQL, **knobs)
-    modern = wsmed.sql(QUERY1_SQL, options=QueryOptions(**knobs))
-    assert sorted(legacy.rows) == sorted(modern.rows)
-    assert legacy.elapsed == modern.elapsed
-    assert legacy.total_calls == modern.total_calls
+@pytest.fixture(scope="module")
+def engine(wsmed):
+    engine = QueryEngine(wsmed)
+    yield engine
+    engine.close()
+
+
+@pytest.mark.parametrize(
+    "owner, method",
+    [
+        ("wsmed", "sql"),
+        ("wsmed", "plan"),
+        ("wsmed", "explain"),
+        ("engine", "sql"),
+        ("engine", "sql_async"),
+        ("engine", "sql_many"),
+    ],
+)
+def test_former_keyword_arguments_are_type_errors(wsmed, engine, owner, method) -> None:
+    entry_point = getattr({"wsmed": wsmed, "engine": engine}[owner], method)
+    with pytest.raises(TypeError, match="mode"):
+        entry_point(QUERY1_SQL, mode="central")
 
 
 def test_wsmed_explain_accepts_options(wsmed) -> None:
-    with pytest.warns(DeprecationWarning):
-        legacy = wsmed.explain(QUERY1_SQL, mode="parallel", fanouts=[5, 4])
-    modern = wsmed.explain(
+    central = wsmed.explain(QUERY1_SQL)
+    parallel = wsmed.explain(
         QUERY1_SQL, options=QueryOptions(mode="parallel", fanouts=[5, 4])
     )
-    assert legacy == modern
-
-
-def test_engine_sql_options_equals_legacy_kwargs() -> None:
-    def run(**call):
-        system = WSMED(profile="fast")
-        system.import_all()
-        engine = QueryEngine(system)
-        try:
-            return engine.sql(QUERY1_SQL, **call)
-        finally:
-            engine.close()
-
-    with pytest.warns(DeprecationWarning):
-        legacy = run(mode="adaptive", retries=1)
-    modern = run(options=QueryOptions(mode="adaptive", retries=1))
-    assert sorted(legacy.rows) == sorted(modern.rows)
-    assert legacy.elapsed == modern.elapsed
+    assert "FF_APPLYP" not in central
+    assert "FF_APPLYP" in parallel
 
 
 # -- per-surface rejections ------------------------------------------------------
@@ -117,6 +106,25 @@ def test_engine_rejects_one_shot_only_fields() -> None:
             engine.sql(QUERY1_SQL, options=QueryOptions(observed={}))
     finally:
         engine.close()
+
+
+def test_sql_many_overrides_pass_the_engine_surface_check(engine) -> None:
+    parallel = QueryOptions(mode="parallel", fanouts=[5, 4])
+    results = engine.sql_many(
+        [
+            QUERY1_SQL,
+            (QUERY1_SQL, parallel.replace(fault_rate=0.5)),
+            (QUERY1_SQL, parallel.replace(observed={"GetPlaceList": (1.0, 1.0)})),
+            (QUERY1_SQL, {"mode": "central"}),
+        ],
+        return_exceptions=True,
+        options=parallel,
+    )
+    assert len(results[0].rows) == 360
+    assert results[0].total_calls == 311
+    for result, match in zip(results[1:], ["fault_rate", "observed", "QueryOptions"]):
+        assert isinstance(result, PlanError)
+        assert match in str(result)
 
 
 def test_field_sets_cover_distinct_fields() -> None:

@@ -7,9 +7,12 @@ from repro import (
     QUERY2_SQL,
     AdaptationParams,
     ExecutionMode,
+    QueryOptions,
     WSMED,
 )
 from repro.util.errors import PlanError
+
+Q1_PARALLEL = QueryOptions(mode="parallel", fanouts=[5, 4], name="Query1")
 
 
 @pytest.fixture(scope="module")
@@ -44,7 +47,7 @@ def test_getzipcode_registered_by_default(wsmed) -> None:
 
 
 def test_central_query2(wsmed) -> None:
-    result = wsmed.sql(QUERY2_SQL, mode="central", name="Query2")
+    result = wsmed.sql(QUERY2_SQL, options=QueryOptions(name="Query2"))
     assert result.rows == [("CO", "80840")]
     assert result.columns == ("ToState", "zip")
     assert result.total_calls == 5001
@@ -53,16 +56,16 @@ def test_central_query2(wsmed) -> None:
 
 
 def test_parallel_query1(wsmed) -> None:
-    result = wsmed.sql(QUERY1_SQL, mode="parallel", fanouts=[5, 4], name="Query1")
+    result = wsmed.sql(QUERY1_SQL, options=Q1_PARALLEL)
     assert len(result) == 360
     assert result.tree.processes_spawned == 25
-    central = wsmed.sql(QUERY1_SQL, mode="central")
+    central = wsmed.sql(QUERY1_SQL)
     assert result.as_bag() == central.as_bag()
     assert result.elapsed < central.elapsed
 
 
 def test_adaptive_mode_defaults(wsmed) -> None:
-    result = wsmed.sql(QUERY2_SQL, mode=ExecutionMode.ADAPTIVE)
+    result = wsmed.sql(QUERY2_SQL, options=QueryOptions(mode=ExecutionMode.ADAPTIVE))
     assert result.rows == [("CO", "80840")]
     assert result.tree.add_stages > 0
 
@@ -70,20 +73,21 @@ def test_adaptive_mode_defaults(wsmed) -> None:
 def test_adaptive_custom_params(wsmed) -> None:
     result = wsmed.sql(
         QUERY1_SQL,
-        mode="adaptive",
-        adaptation=AdaptationParams(p=1, drop_stage=True),
+        options=QueryOptions(
+            mode="adaptive", adaptation=AdaptationParams(p=1, drop_stage=True)
+        ),
     )
     assert len(result) == 360
 
 
 def test_parallel_requires_fanouts(wsmed) -> None:
     with pytest.raises(PlanError, match="fanout"):
-        wsmed.sql(QUERY1_SQL, mode="parallel")
+        wsmed.sql(QUERY1_SQL, options=QueryOptions(mode="parallel"))
 
 
 def test_unknown_mode_rejected(wsmed) -> None:
     with pytest.raises(PlanError, match="unknown execution mode"):
-        wsmed.sql(QUERY1_SQL, mode="turbo")
+        wsmed.sql(QUERY1_SQL, options=QueryOptions(mode="turbo"))
 
 
 def test_result_helpers(wsmed) -> None:
@@ -97,7 +101,7 @@ def test_result_helpers(wsmed) -> None:
 
 
 def test_explain_contains_all_sections(wsmed) -> None:
-    report = wsmed.explain(QUERY1_SQL, mode="parallel", fanouts=[5, 4], name="Query1")
+    report = wsmed.explain(QUERY1_SQL, options=Q1_PARALLEL)
     assert "-- calculus --" in report
     assert "Query1(" in report
     assert "FF_APPLYP" in report
@@ -128,5 +132,7 @@ def test_reimport_is_idempotent(wsmed) -> None:
 
 
 def test_summary_mentions_tree_for_parallel(wsmed) -> None:
-    result = wsmed.sql(QUERY1_SQL, mode="parallel", fanouts=[3, 2])
+    result = wsmed.sql(
+        QUERY1_SQL, options=QueryOptions(mode="parallel", fanouts=[3, 2])
+    )
     assert "process tree" in result.summary()
